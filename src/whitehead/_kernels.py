@@ -1,267 +1,180 @@
-"""Array kernels for word arithmetic.
+"""Tuple kernels for word arithmetic.
 
-Words are numpy int64 arrays of nonzero signed letter codes over a rank-n
-alphabet: code +i is the i-th generator, -i its inverse (1 <= i <= n).
-Every comparison in this package uses the fixed letter order
+Words are tuples of nonzero signed letter codes over a rank-n alphabet:
+code +i is the i-th generator, -i its inverse (1 <= i <= n).  Every
+comparison in this package uses the fixed letter order
 
     gen 1 < gen 2 < ... < gen n < inv 1 < inv 2 < ... < inv n
 
 which is what ``key_codes`` materializes: key(c) = c-1 for positive c and
 n-c-1 for negative c, so integer order on keys is the letter order.
 
-The hot kernels are compiled with numba when it is importable.  Setting the
-environment variable ``WH_KERNELS=python`` before import forces the plain
-interpreted path (the tuple-canonicalization kernel then switches to a
-vectorized numpy implementation).  ``HAS_NUMBA`` / ``JIT_ENABLED`` report
-what actually happened at import time.
+Letter tables (substitution images, relabelings) are indexed by the slot
+c+n of a signed code c in -n..n; slot n, code 0, is never read.  Every
+kernel is plain interpreted Python; there is no compiled path.
+
+Throughout the package, tuples are built from lists (``tuple([...])``),
+not from generators: ``tuple(genexpr)`` allocates a guessed size and
+resizes it, so CPython's per-size tuple free lists fill up with dead
+tuples and a long run holds several megabytes it never uses.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-_BACKEND = os.environ.get("WH_KERNELS", "numba").strip().lower()
-
-HAS_NUMBA = False
-if _BACKEND != "python":
-    try:
-        from numba import njit as _njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-JIT_ENABLED = HAS_NUMBA
-
-if JIT_ENABLED:
-
-    def jit(fn):
-        return _njit(cache=True)(fn)
-
-else:
-
-    def jit(fn):
-        return fn
+JIT_ENABLED = False
 
 
-def as_codes(seq) -> np.ndarray:
-    """Coerce a sequence of signed letter codes to the kernel dtype."""
-    return np.asarray(seq, dtype=np.int64)
-
-
-@jit
 def free_reduce(w):
-    """Freely reduce a code array with a stack pass."""
-    out = np.empty(w.shape[0], np.int64)
-    top = 0
-    for t in range(w.shape[0]):
-        c = w[t]
-        if top > 0 and out[top - 1] == -c:
-            top -= 1
+    """Freely reduce a code sequence with a stack pass."""
+    out = []
+    for c in w:
+        if out and out[-1] == -c:
+            out.pop()
         else:
-            out[top] = c
-            top += 1
-    return out[:top].copy()
+            out.append(c)
+    return tuple(out)
 
 
-@jit
 def cyclic_bounds(w):
     """Bounds (lo, hi) with w[lo:hi] cyclically reduced; w must be reduced."""
     lo = 0
-    hi = w.shape[0]
+    hi = len(w)
     while hi - lo >= 2 and w[lo] == -w[hi - 1]:
         lo += 1
         hi -= 1
     return lo, hi
 
 
-@jit
 def key_codes(w, n):
     """Map signed codes to the 0..2n-1 letter-order keys."""
-    out = np.empty(w.shape[0], np.int64)
-    for t in range(w.shape[0]):
-        c = w[t]
-        if c > 0:
-            out[t] = c - 1
-        else:
-            out[t] = n - c - 1
-    return out
+    return tuple([c - 1 if c > 0 else n - c - 1 for c in w])
 
 
-@jit
 def least_rotation(keys):
-    """Start index of the lexicographically least rotation of a key array.
+    """Start index of the lexicographically least rotation of a key sequence.
 
-    Booth-style two-candidate scan; ties between equal rotations resolve to
-    the smaller index, which leaves the rotated content identical anyway.
+    Only rotations starting at the least key can win, so those are the
+    only ones compared; ties resolve to the smallest index, which leaves
+    the rotated content identical anyway.  Works on tuples and bytes.
     """
-    m = keys.shape[0]
+    m = len(keys)
     if m < 2:
         return 0
-    i = 0
-    j = 1
-    k = 0
-    while i < m and j < m and k < m:
-        a = keys[(i + k) % m]
-        b = keys[(j + k) % m]
-        if a == b:
-            k += 1
-        else:
-            if a > b:
-                i = i + k + 1
-            else:
-                j = j + k + 1
-            if i == j:
-                j += 1
-            k = 0
-    if i < j:
-        return i
-    return j
-
-
-@jit
-def substitute(w, flat, off, n):
-    """Replace each letter by its image and reduce, in one stack pass.
-
-    flat/off is a substitution table over the 2n+1 slots c+n for
-    c in -n..n (slot n, code 0, is always empty); see build_subst_table.
-    """
-    cap = 0
-    for t in range(w.shape[0]):
-        s = w[t] + n
-        cap += off[s + 1] - off[s]
-    out = np.empty(cap, np.int64)
-    top = 0
-    for t in range(w.shape[0]):
-        s = w[t] + n
-        for k in range(off[s], off[s + 1]):
-            d = flat[k]
-            if top > 0 and out[top - 1] == -d:
-                top -= 1
-            else:
-                out[top] = d
-                top += 1
-    return out[:top].copy()
-
-
-@jit
-def relabel(w, table, n):
-    """Apply a signed-letter relabeling table (indexed by c+n)."""
-    out = np.empty(w.shape[0], np.int64)
-    for t in range(w.shape[0]):
-        out[t] = table[w[t] + n]
-    return out
-
-
-def build_subst_table(images, n):
-    """Flatten generator images into a (flat, off) substitution table.
-
-    images: list of n code arrays, image of generator i at index i-1.
-    The table covers signed codes: the slot for -i holds the reversed
-    negated image of i.
-    """
-    parts = []
-    off = np.zeros(2 * n + 2, dtype=np.int64)
-    pos = 0
-    for s in range(2 * n + 1):
-        c = s - n
-        if c < 0:
-            img = images[-c - 1]
-            part = (-img[::-1]).astype(np.int64)
-        elif c == 0:
-            part = np.empty(0, dtype=np.int64)
-        else:
-            part = as_codes(images[c - 1])
-        parts.append(part)
-        pos += len(part)
-        off[s + 1] = pos
-    flat = np.concatenate(parts) if pos else np.empty(0, dtype=np.int64)
-    return flat, off
-
-
-@jit
-def canonical_tuple_loop(flat, off, kinds, tables, n):
-    """Lex-least relabeling of a word tuple over a stack of letter tables.
-
-    flat/off: concatenated tuple entries; kinds[k] = 1 marks a cyclic entry,
-    which is rotated to its least rotation after each relabeling.  Returns
-    the winning signed codes in the same flat layout.
-    """
-    P = tables.shape[0]
-    L = flat.shape[0]
-    best = np.empty(L, np.int64)
-    best_keys = np.empty(L, np.int64)
-    cand = np.empty(L, np.int64)
-    cand_keys = np.empty(L, np.int64)
-    tmp = np.empty(L, np.int64)
-    for p in range(P):
-        for t in range(L):
-            cand[t] = tables[p, flat[t] + n]
-        for t in range(L):
-            c = cand[t]
-            if c > 0:
-                cand_keys[t] = c - 1
-            else:
-                cand_keys[t] = n - c - 1
-        for k in range(off.shape[0] - 1):
-            lo = off[k]
-            hi = off[k + 1]
-            m = hi - lo
-            if kinds[k] == 1 and m > 1:
-                s = least_rotation(cand_keys[lo:hi])
-                if s != 0:
-                    for t in range(m):
-                        tmp[t] = cand[lo + (s + t) % m]
-                    for t in range(m):
-                        cand[lo + t] = tmp[t]
-                        c = tmp[t]
-                        if c > 0:
-                            cand_keys[lo + t] = c - 1
-                        else:
-                            cand_keys[lo + t] = n - c - 1
-        if p == 0:
-            better = True
-        else:
-            better = False
-            for t in range(L):
-                if cand_keys[t] != best_keys[t]:
-                    better = cand_keys[t] < best_keys[t]
-                    break
-        if better:
-            for t in range(L):
-                best[t] = cand[t]
-                best_keys[t] = cand_keys[t]
+    lo = min(keys)
+    dbl = keys + keys
+    best = s = keys.index(lo)
+    best_rot = dbl[s:s + m]
+    for _ in range(keys.count(lo) - 1):
+        s = keys.index(lo, s + 1)
+        rot = dbl[s:s + m]
+        if rot < best_rot:
+            best, best_rot = s, rot
     return best
 
 
-def canonical_tuple_numpy(flat, off, kinds, tables, n):
-    """Vectorized fallback with the same contract as canonical_tuple_loop."""
-    P = tables.shape[0]
-    if flat.shape[0] == 0:
-        return flat.copy()
-    cands = tables[:, flat + n]
-    keys = np.where(cands > 0, cands - 1, n - cands - 1)
-    for k in range(off.shape[0] - 1):
-        lo, hi = int(off[k]), int(off[k + 1])
-        m = hi - lo
-        if kinds[k] != 1 or m < 2:
+def build_subst_table(images):
+    """Substitution table of generator images (image of generator i at i-1).
+
+    Slot c+n holds the image of the signed code c; the slot for -i is the
+    inverse of the image of i.
+    """
+    n = len(images)
+    table = [()] * (2 * n + 1)
+    for i, img in enumerate(images, start=1):
+        table[n + i] = tuple(img)
+        table[n - i] = tuple([-c for c in reversed(img)])
+    return tuple(table)
+
+
+def substitute(w, table):
+    """Replace each letter by its table image and freely reduce.
+
+    Images are reduced words, so cancellation only happens where an image
+    meets the reduced prefix built so far.
+    """
+    n = len(table) // 2
+    out = []
+    for c in w:
+        img = table[c + n]
+        k = 0
+        m = len(img)
+        while k < m and out and out[-1] == -img[k]:
+            out.pop()
+            k += 1
+        out.extend(img[k:] if k else img)
+    return tuple(out)
+
+
+def substitute_entries(entries, cyclic, table):
+    """Each code tuple substituted through table; cyclic ones cyclically reduced."""
+    out = []
+    for w, cyc in zip(entries, cyclic):
+        img = substitute(w, table)
+        if cyc:
+            lo, hi = cyclic_bounds(img)
+            img = img[lo:hi]
+        out.append(img)
+    return tuple(out)
+
+
+def relabel(w, table):
+    """Apply a signed-letter relabeling table."""
+    n = len(table) // 2
+    return tuple([table[c + n] for c in w])
+
+
+def key_table(table):
+    """The relabeling table as a ``bytes.translate`` table on letter keys."""
+    n = len(table) // 2
+    codes = [c for c in range(-n, n + 1) if c]
+    out = bytearray(range(256))
+    for k, img in zip(key_codes(codes, n), key_codes(relabel(codes, table), n)):
+        out[k] = img
+    return bytes(out)
+
+
+def relabeled_keys(entries, cyclic, key_tables, n):
+    """Yield the tuple's concatenated letter keys under each key table.
+
+    Each cyclic entry is brought to its least rotation after relabeling,
+    so for tuples with the same entry lengths, equal keys mean equal
+    relabeled tuples.
+    """
+    keys = bytes(key_codes([c for w in entries for c in w], n))
+    spans = []
+    lo = 0
+    for w, cyc in zip(entries, cyclic):
+        hi = lo + len(w)
+        if cyc and hi - lo > 1:
+            spans.append((lo, hi))
+        lo = hi
+    for kt in key_tables:
+        moved = keys.translate(kt)
+        if not spans:
+            yield moved
             continue
-        seg = keys[:, lo:hi]
-        dbl = np.concatenate([seg, seg], axis=1)
-        rots = np.stack([dbl[:, s:s + m] for s in range(m)], axis=1)
-        for p in range(P):
-            order = np.lexsort(rots[p].T[::-1])
-            s = int(order[0])
-            if s:
-                cands[p, lo:hi] = np.roll(cands[p, lo:hi], -s)
-                keys[p, lo:hi] = rots[p, s]
-    order = np.lexsort(keys.T[::-1])
-    return cands[int(order[0])].copy()
+        parts = []
+        pos = 0
+        for lo, hi in spans:
+            seg = moved[lo:hi]
+            s = least_rotation(seg)
+            parts += (moved[pos:lo], seg[s:], seg[:s])
+            pos = hi
+        parts.append(moved[pos:])
+        yield b"".join(parts)
 
 
-def canonical_tuple(flat, off, kinds, tables, n):
-    if JIT_ENABLED:
-        return canonical_tuple_loop(flat, off, kinds, tables, n)
-    return canonical_tuple_numpy(flat, off, kinds, tables, n)
+def canonical_tuple(entries, cyclic, key_tables, n):
+    """Lex-least relabeling of a tuple of code tuples over the key tables.
+
+    cyclic[k] marks entry k as cyclic; it comes back at its least rotation.
+    """
+    best = min(relabeled_keys(entries, cyclic, key_tables, n))
+    decode = tuple([k + 1 if k < n else n - k - 1 for k in range(2 * n)])
+    out = []
+    lo = 0
+    for w in entries:
+        hi = lo + len(w)
+        out.append(tuple([decode[k] for k in best[lo:hi]]))
+        lo = hi
+    return tuple(out)

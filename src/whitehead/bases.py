@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Tuple
-
-import numpy as np
 
 from . import _kernels
 from .errors import NotABasis, RankMismatch, TheoremViolation
@@ -32,7 +30,7 @@ def _letter_codes_in_order(rank: int):
     return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     rank: int
     forward: Tuple[Word, ...]
@@ -47,17 +45,16 @@ class Automorphism:
         for w in self.forward + self.backward:
             if not isinstance(w, Word) or w.rank != n:
                 raise RankMismatch("image words must be straight words of the same rank")
-        fwd = _subst_table([w.array() for w in self.forward], n)
-        bwd = _subst_table([w.array() for w in self.backward], n)
+        fwd, bwd = self._forward_table(), self._backward_table()
         for i in range(n):
-            there = _kernels.substitute(self.backward[i].array(), fwd[0], fwd[1], n)
-            back = _kernels.substitute(self.forward[i].array(), bwd[0], bwd[1], n)
-            if list(there) != [i + 1] or list(back) != [i + 1]:
+            there = _kernels.substitute(self.backward[i].codes, fwd)
+            back = _kernels.substitute(self.forward[i].codes, bwd)
+            if there != (i + 1,) or back != (i + 1,):
                 raise NotABasis(f"images do not invert each other at generator {i + 1}")
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
-        gens = tuple(Word(rank, (i,)) for i in range(1, rank + 1))
+        gens = tuple([Word(rank, (i,)) for i in range(1, rank + 1)])
         return cls(rank, gens, gens)
 
     @classmethod
@@ -66,13 +63,14 @@ class Automorphism:
         imgs = tuple(images)
         return cls(rank, imgs, invert_images(rank, imgs))
 
-    @cached_property
-    def _fwd_table(self):
-        return _subst_table([w.array() for w in self.forward], self.rank)
+    # Substitution tables are built per call rather than cached on the
+    # value, so the automorphisms a caller keeps (certificates, reduction
+    # steps) hold their images and nothing else.
+    def _forward_table(self) -> tuple:
+        return _kernels.build_subst_table([w.codes for w in self.forward])
 
-    @cached_property
-    def _bwd_table(self):
-        return _subst_table([w.array() for w in self.backward], self.rank)
+    def _backward_table(self) -> tuple:
+        return _kernels.build_subst_table([w.codes for w in self.backward])
 
     def letter_image(self, code: int) -> Word:
         """Image of a signed letter code under the forward map."""
@@ -80,18 +78,10 @@ class Automorphism:
         return w if code > 0 else w.inverse()
 
     def apply(self, w: AnyWord) -> AnyWord:
-        flat, off = self._fwd_table
-        arr = _kernels.substitute(w.array(), flat, off, self.rank)
-        if isinstance(w, CyclicWord):
-            return CyclicWord(self.rank, arr)
-        return Word.from_array(self.rank, arr)
+        return _substituted(w, self._forward_table())
 
     def apply_backward(self, w: AnyWord) -> AnyWord:
-        flat, off = self._bwd_table
-        arr = _kernels.substitute(w.array(), flat, off, self.rank)
-        if isinstance(w, CyclicWord):
-            return CyclicWord(self.rank, arr)
-        return Word.from_array(self.rank, arr)
+        return _substituted(w, self._backward_table())
 
     def inverse(self) -> "Automorphism":
         return Automorphism(self.rank, self.backward, self.forward)
@@ -105,7 +95,7 @@ class Automorphism:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Automorphism":
         rank = int(obj["rank"])
-        images = tuple(Word.parse(rank, t) for t in obj["images"])
+        images = tuple([Word.parse(rank, t) for t in obj["images"]])
         return cls.from_images(rank, images)
 
     def __repr__(self):
@@ -113,8 +103,11 @@ class Automorphism:
         return f"Automorphism({self.rank}, [{imgs}])"
 
 
-def _subst_table(arrays, n):
-    return _kernels.build_subst_table(arrays, n)
+def _substituted(w: AnyWord, table) -> AnyWord:
+    codes = _kernels.substitute(w.codes, table)
+    if isinstance(w, CyclicWord):
+        return CyclicWord._from_reduced(w.rank, codes)
+    return Word._wrap(w.rank, codes)
 
 
 def apply(aut: Automorphism, w: AnyWord) -> AnyWord:
@@ -125,8 +118,9 @@ def compose(s: Automorphism, t: Automorphism) -> Automorphism:
     """s after t: compose(s, t)(w) = s(t(w))."""
     if s.rank != t.rank:
         raise RankMismatch(f"cannot compose ranks {s.rank} and {t.rank}")
-    fwd = tuple(s.apply(w) for w in t.forward)
-    bwd = tuple(t.apply_backward(w) for w in s.backward)
+    s_fwd, t_bwd = s._forward_table(), t._backward_table()
+    fwd = tuple([_substituted(w, s_fwd) for w in t.forward])
+    bwd = tuple([_substituted(w, t_bwd) for w in s.backward])
     return Automorphism(s.rank, fwd, bwd)
 
 
@@ -134,7 +128,7 @@ def invert_aut(s: Automorphism) -> Automorphism:
     return s.inverse()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhiteheadTransformDescriptor:
     """A Whitehead transform of the second kind.
 
@@ -188,7 +182,7 @@ class WhiteheadTransformDescriptor:
         mword = Word.parse(rank, obj["multiplier"])
         if len(mword) != 1:
             raise ValueError(f"multiplier must be a single letter, got {obj['multiplier']!r}")
-        pairs = tuple((bool(l), bool(r)) for l, r in obj["pairs"])
+        pairs = tuple([(bool(l), bool(r)) for l, r in obj["pairs"]])
         return cls(rank, mword.codes[0], pairs)
 
     def __repr__(self):
@@ -232,7 +226,7 @@ def enumerate_whitehead_transforms(rank: int) -> Tuple[WhiteheadTransformDescrip
             out.append(WhiteheadTransformDescriptor(rank, m, tuple(pairs)))
     seen = set()
     for d in out:
-        key = tuple(w.codes for w in d.images())
+        key = tuple([w.codes for w in d.images()])
         if key in seen:
             raise TheoremViolation("duplicate transform images in enumeration")
         seen.add(key)
@@ -244,25 +238,29 @@ def enumerate_whitehead_transforms(rank: int) -> Tuple[WhiteheadTransformDescrip
 class _TransformTables:
     """Per-descriptor substitution tables, precomputed once per rank."""
 
-    __slots__ = ("descriptor", "fwd_flat", "fwd_off", "inv_flat", "inv_off")
+    __slots__ = ("descriptor", "fwd", "inv")
 
-    def __init__(self, desc: WhiteheadTransformDescriptor):
+    def __init__(self, desc: WhiteheadTransformDescriptor, fwd: tuple, inv: tuple):
         self.descriptor = desc
-        n = desc.rank
-        self.fwd_flat, self.fwd_off = _subst_table(
-            [w.array() for w in desc.images()], n
-        )
-        self.inv_flat, self.inv_off = _subst_table(
-            [w.array() for w in desc.inverse().images()], n
-        )
+        self.fwd = fwd
+        self.inv = inv
 
 
 @lru_cache(maxsize=None)
 def transform_tables(rank: int) -> Tuple[_TransformTables, ...]:
-    return tuple(_TransformTables(d) for d in enumerate_whitehead_transforms(rank))
+    shared = {}  # the rank's tables draw on a few letter images; keep one of each
+
+    def table(desc):
+        images = _kernels.build_subst_table([w.codes for w in desc.images()])
+        return tuple([shared.setdefault(img, img) for img in images])
+
+    return tuple(
+        _TransformTables(d, table(d), table(d.inverse()))
+        for d in enumerate_whitehead_transforms(rank)
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """A letter permutation: generator i maps to the signed code targets[i-1]."""
 
@@ -283,29 +281,31 @@ class SignedPermutation:
     def is_identity(self) -> bool:
         return self.targets == tuple(range(1, self.rank + 1))
 
-    def table(self) -> np.ndarray:
+    def table(self) -> Tuple[int, ...]:
         """Relabel table over slots c+rank, kernel-ready."""
         n = self.rank
-        t = np.zeros(2 * n + 1, dtype=np.int64)
+        t = [0] * (2 * n + 1)
         for i in range(1, n + 1):
             t[i + n] = self.targets[i - 1]
             t[-i + n] = -self.targets[i - 1]
-        return t
+        return tuple(t)
 
     def apply_code(self, code: int) -> int:
         tgt = self.targets[abs(code) - 1]
         return tgt if code > 0 else -tgt
 
     def apply(self, w: AnyWord) -> AnyWord:
-        codes = tuple(self.apply_code(c) for c in w.codes)
+        if w.rank != self.rank:
+            raise RankMismatch(f"cannot relabel rank {w.rank} by rank {self.rank}")
+        codes = _kernels.relabel(w.codes, self.table())
         if isinstance(w, CyclicWord):
-            return CyclicWord(w.rank, codes)
+            return CyclicWord._from_reduced(w.rank, codes)
         return Word._wrap(w.rank, codes)
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other."""
         return SignedPermutation(
-            self.rank, tuple(self.apply_code(c) for c in other.targets)
+            self.rank, tuple([self.apply_code(c) for c in other.targets])
         )
 
     def inverse(self) -> "SignedPermutation":
@@ -316,8 +316,8 @@ class SignedPermutation:
 
     def to_automorphism(self) -> Automorphism:
         n = self.rank
-        fwd = tuple(Word(n, (c,)) for c in self.targets)
-        bwd = tuple(Word(n, (c,)) for c in self.inverse().targets)
+        fwd = tuple([Word(n, (c,)) for c in self.targets])
+        bwd = tuple([Word(n, (c,)) for c in self.inverse().targets])
         return Automorphism(n, fwd, bwd)
 
     def to_json_dict(self) -> dict:
@@ -340,16 +340,15 @@ def enumerate_signed_permutations(rank: int) -> Tuple[SignedPermutation, ...]:
     out = []
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
-            out.append(SignedPermutation(rank, tuple(p * s for p, s in zip(perm, signs))))
+            out.append(SignedPermutation(rank, tuple([p * s for p, s in zip(perm, signs)])))
     out.sort(key=lambda p: p.targets != tuple(range(1, rank + 1)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def relabel_tables(rank: int) -> np.ndarray:
-    """Stacked relabel tables of every signed permutation, kernel-ready."""
-    perms = enumerate_signed_permutations(rank)
-    return np.stack([p.table() for p in perms])
+def relabel_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """Relabel tables of every signed permutation, in enumeration order."""
+    return tuple([p.table() for p in enumerate_signed_permutations(rank)])
 
 
 @dataclass(frozen=True)
@@ -469,34 +468,26 @@ def invert_images(rank: int, images) -> Tuple[Word, ...]:
         if w.is_identity():
             raise NotABasis("an image is the identity")
 
-    tuples = [w.array() for w in imgs]
+    tuples = [w.codes for w in imgs]
     # u_fwd: forward images of the descent map U with U(images) = current tuple
-    u_fwd = [np.array([i], dtype=np.int64) for i in range(1, rank + 1)]
+    u_fwd = [(i,) for i in range(1, rank + 1)]
     total = sum(len(t) for t in tuples)
     tables = transform_tables(rank)
     while total > rank:
         for tt in tables:
-            cand = [
-                _kernels.substitute(t, tt.fwd_flat, tt.fwd_off, rank) for t in tuples
-            ]
+            cand = [_kernels.substitute(t, tt.fwd) for t in tuples]
             cand_total = sum(len(c) for c in cand)
             if cand_total < total:
                 tuples, total = cand, cand_total
-                u_fwd = [
-                    _kernels.substitute(w, tt.fwd_flat, tt.fwd_off, rank) for w in u_fwd
-                ]
+                u_fwd = [_kernels.substitute(w, tt.fwd) for w in u_fwd]
                 break
         else:
             raise NotABasis(f"tuple stalls at total length {total} > rank {rank}")
 
-    codes = [int(t[0]) for t in tuples]
+    codes = [t[0] for t in tuples]
     if sorted(abs(c) for c in codes) != list(range(1, rank + 1)):
         raise NotABasis(f"tuple descends to letters {codes}, not a signed basis")
     # U(images) = p as a letter permutation, so images^-1 = p^-1 . U
     perm_inv = SignedPermutation(rank, tuple(codes)).inverse()
     table = perm_inv.table()
-    out = []
-    for i in range(rank):
-        arr = _kernels.relabel(u_fwd[i], table, rank)
-        out.append(Word.from_array(rank, arr))
-    return tuple(out)
+    return tuple([Word._wrap(rank, _kernels.relabel(w, table)) for w in u_fwd])

@@ -43,7 +43,7 @@ def _shortlex_min(words: Iterable[Word]) -> Word:
     return min(words, key=lambda w: w.sort_key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """A finite vertex set anchored at the identity."""
 
@@ -374,6 +374,8 @@ def distance(
     """
     if x.rank != y.rank:
         raise RankMismatch(f"ranks {x.rank} and {y.rank} differ")
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be nonnegative, got {max_size}")
     rank = x.rank
     cap = max_size if max_size is not None else len(krstic_translator(x, y))
     counter = {"states": 0}
@@ -411,7 +413,7 @@ def distance(
 # path representation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedPath:
     """A closed edge path carrying both labels.
 
@@ -424,13 +426,13 @@ class DecoratedPath:
     steps: Tuple[tuple, ...]
 
     def left_label_codes(self) -> Tuple[int, ...]:
-        return tuple(s[1] for s in reversed(self.steps) if s[0] == "x")
+        return tuple([s[1] for s in reversed(self.steps) if s[0] == "x"])
 
     def right_label_codes(self) -> Tuple[int, ...]:
-        return tuple(s[2] for s in self.steps if s[0] == "y")
+        return tuple([s[2] for s in self.steps if s[0] == "y"])
 
 
-@dataclass
+@dataclass(slots=True)
 class TraversalCounts:
     """Unoriented edge traversal counts, split left/right."""
 
@@ -444,7 +446,7 @@ class TraversalCounts:
         return sum(n for (_, i), n in self.y_counts.items() if i == letter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepresentResult:
     paths: Tuple[DecoratedPath, ...]
     counts: TraversalCounts
@@ -458,8 +460,10 @@ class _PathEnv:
         self.x = graph.left
         self.y = graph.right
         self.rank = graph.rank
-        self.verts = graph.vertices.vertices
-        root = Word.identity(self.rank)
+        # vertex -> the vertex set's own Word object; paths hold these, so a
+        # result shares one object per vertex however often it is visited
+        self.verts = {v: v for v in graph.vertices.vertices}
+        root = self.verts[Word.identity(self.rank)]
         # parent steps of the right spanning tree, radiating from the root
         parent: Dict[Word, Tuple[Word, int]] = {}
         seen = {root}
@@ -468,13 +472,13 @@ class _PathEnv:
             nxt = []
             for v in queue:
                 for c in _signed_letters(self.rank):
-                    w = right_step(self.y, v, c)
-                    if w in self.verts and w not in seen:
+                    w = self.verts.get(right_step(self.y, v, c))
+                    if w is not None and w not in seen:
                         seen.add(w)
                         parent[w] = (v, c)
                         nxt.append(w)
             queue = nxt
-        if seen != self.verts:
+        if seen != self.verts.keys():
             raise PreconditionViolated("right edges do not span the vertex set")
         self.parent = parent
         self.root = root
@@ -489,7 +493,7 @@ class _PathEnv:
         return steps
 
     def path_to_root(self, v: Word) -> List[tuple]:
-        return _invert_steps(self.path_from_root(v), self.x, self.y)
+        return _invert_steps(self.path_from_root(v), self)
 
     def basic_loop(self, c: int) -> List[tuple]:
         """Closed loop at the root whose only left letter is -c (c > 0)."""
@@ -497,7 +501,7 @@ class _PathEnv:
         if not tails:
             raise TheoremViolation(f"translator missing left edges for letter {c}")
         v = _shortlex_min(tails)
-        head = left_step(self.x, c, v)
+        head = self.verts[left_step(self.x, c, v)]
         return (
             self.path_from_root(head)
             + [("x", -c, head)]
@@ -505,13 +509,13 @@ class _PathEnv:
         )
 
 
-def _invert_steps(steps: List[tuple], x: Automorphism, y: Automorphism) -> List[tuple]:
+def _invert_steps(steps: List[tuple], env: _PathEnv) -> List[tuple]:
     out = []
     for s in reversed(steps):
         if s[0] == "x":
-            out.append(("x", -s[1], left_step(x, s[1], s[2])))
+            out.append(("x", -s[1], env.verts[left_step(env.x, s[1], s[2])]))
         else:
-            out.append(("y", right_step(y, s[1], s[2]), -s[2]))
+            out.append(("y", env.verts[right_step(env.y, s[1], s[2])], -s[2]))
     return out
 
 
@@ -555,7 +559,7 @@ def _reduce_straight(steps: List[tuple], env: _PathEnv) -> List[tuple]:
                 moved = multiply(v, shift)
                 if moved not in env.verts or left_step(env.x, c, moved) not in env.verts:
                     raise TheoremViolation("slid left block left the vertex set")
-                block.append(("x", c, moved))
+                block.append(("x", c, env.verts[moved]))
             steps[i:j + 1] = block
             changed = True
             break
@@ -613,7 +617,7 @@ def _reduce_cyclic(steps: List[tuple], env: _PathEnv) -> List[tuple]:
                 moved = multiply(img, v)
                 if moved not in env.verts or right_step(env.y, moved, cy) not in env.verts:
                     raise TheoremViolation("slid right block left the vertex set")
-                block.append(("y", moved, cy))
+                block.append(("y", env.verts[moved], cy))
             steps[:] = block + rest
             changed = True
             continue
@@ -629,24 +633,24 @@ def _reduce_cyclic(steps: List[tuple], env: _PathEnv) -> List[tuple]:
                 moved = multiply(v, shift)
                 if moved not in env.verts or left_step(env.x, c, moved) not in env.verts:
                     raise TheoremViolation("slid left block left the vertex set")
-                block.append(("x", c, moved))
+                block.append(("x", c, env.verts[moved]))
             steps[:] = block + rest
             changed = True
             continue
     return steps
 
 
-def _count_steps(paths: Iterable[DecoratedPath], graph: GerstenGraph) -> TraversalCounts:
+def _count_steps(paths: Iterable[DecoratedPath], env: _PathEnv) -> TraversalCounts:
     counts = TraversalCounts()
     for p in paths:
         for s in p.steps:
             if s[0] == "x":
                 c, v = s[1], s[2]
-                key = (c, v) if c > 0 else (-c, left_step(graph.left, c, v))
+                key = (c, v) if c > 0 else (-c, env.verts[left_step(env.x, c, v)])
                 counts.x_counts[key] = counts.x_counts.get(key, 0) + 1
             else:
                 v, c = s[1], s[2]
-                key = (v, c) if c > 0 else (right_step(graph.right, v, c), -c)
+                key = (v, c) if c > 0 else (env.verts[right_step(env.y, v, c)], -c)
                 counts.y_counts[key] = counts.y_counts.get(key, 0) + 1
     return counts
 
@@ -671,7 +675,7 @@ def represent(words: WordSet, graph: GerstenGraph) -> RepresentResult:
             if t < 0:
                 loops[t] = env.basic_loop(-t)
             else:
-                loops[t] = _invert_steps(env.basic_loop(t), env.x, env.y)
+                loops[t] = _invert_steps(env.basic_loop(t), env)
         return list(loops[t])
 
     paths = []
@@ -688,4 +692,4 @@ def represent(words: WordSet, graph: GerstenGraph) -> RepresentResult:
         else:
             steps = _reduce_straight(steps, env)
             paths.append(DecoratedPath("straight", tuple(steps)))
-    return RepresentResult(tuple(paths), _count_steps(paths, graph))
+    return RepresentResult(tuple(paths), _count_steps(paths, env))

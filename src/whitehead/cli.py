@@ -8,8 +8,9 @@ entries, either as bare strings or as {"kind", "w"} objects.  With
 keys, so identical inputs give identical bytes.
 
 Exit codes: 0 for a completed run (including a negative equivalence
-answer), 2 for malformed input, 3 for a search that overran its budget,
-4 for a violated precondition.
+answer), 2 for malformed input (negative budgets included), 3 for a
+search that overran its budget, 4 for a violated precondition, 5 for a
+failed internal invariant (a TheoremViolation: a bug in this package).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     NotABasis,
     PreconditionViolated,
     RankMismatch,
+    TheoremViolation,
 )
 from .lengthfn import WordSet
 from .peak_reduction import Equal, peak_reduce
@@ -257,6 +259,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PreconditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except TheoremViolation as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 5
     if args.as_json:
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -14,10 +14,7 @@ is reproducible; the result records the exact path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
-
-import numpy as np
 
 from . import _kernels
 from .bases import (
@@ -45,9 +42,9 @@ class WordSet:
                 raise RankMismatch(f"word {w!r} has rank {w.rank}, set has {self.rank}")
 
     def kinds(self) -> Tuple[str, ...]:
-        return tuple(
+        return tuple([
             "cyclic" if isinstance(w, CyclicWord) else "straight" for w in self.words
-        )
+        ])
 
     def shape(self) -> Tuple[str, ...]:
         return self.kinds()
@@ -83,10 +80,10 @@ class WordSet:
     @classmethod
     def parse(cls, rank: int, texts) -> "WordSet":
         """Parse CLI text entries; "~" marks cyclic words."""
-        return cls(rank, tuple(parse_word(rank, t) for t in texts))
+        return cls(rank, tuple([parse_word(rank, t) for t in texts]))
 
     def to_texts(self) -> Tuple[str, ...]:
-        return tuple(format_word(w) for w in self.words)
+        return tuple([format_word(w) for w in self.words])
 
     def __repr__(self):
         return f"WordSet({self.rank}, [{', '.join(self.to_texts())}])"
@@ -113,7 +110,7 @@ class LengthReport:
 def _measure(words: WordSet, basis: Automorphism) -> Tuple[AnyWord, ...]:
     if words.rank != basis.rank:
         raise RankMismatch(f"ranks differ: {words.rank} vs {basis.rank}")
-    return tuple(basis.apply_backward(w) for w in words)
+    return tuple([basis.apply_backward(w) for w in words])
 
 
 def length_report(words: WordSet, basis: Automorphism) -> LengthReport:
@@ -134,48 +131,13 @@ def in_coordinates(words: WordSet, basis: Automorphism) -> WordSet:
     return WordSet(words.rank, _measure(words, basis))
 
 
-class _TupleView:
-    """Raw-array view of a WordSet's coordinates for the descent loops.
-
-    Cyclic entries are kept cyclically reduced (any rotation); lengths
-    read straight off the arrays.
-    """
-
-    __slots__ = ("rank", "arrays", "cyclic")
-
-    def __init__(self, rank, arrays, cyclic):
-        self.rank = rank
-        self.arrays = arrays
-        self.cyclic = cyclic
-
-    @classmethod
-    def of(cls, words: WordSet, basis: Optional[Automorphism] = None) -> "_TupleView":
-        coords = words.words if basis is None else _measure(words, basis)
-        arrays = [w.array() for w in coords]
-        cyclic = [isinstance(w, CyclicWord) for w in coords]
-        return cls(words.rank, arrays, cyclic)
-
-    def total(self) -> int:
-        return sum(len(a) for a in self.arrays)
-
-    def substituted(self, flat, off) -> "_TupleView":
-        out = []
-        for arr, cyc in zip(self.arrays, self.cyclic):
-            img = _kernels.substitute(arr, flat, off, self.rank)
-            if cyc:
-                lo, hi = _kernels.cyclic_bounds(img)
-                img = img[lo:hi]
-            out.append(img)
-        return _TupleView(self.rank, out, self.cyclic)
-
-    def to_word_set(self) -> WordSet:
-        out = []
-        for arr, cyc in zip(self.arrays, self.cyclic):
-            if cyc:
-                out.append(CyclicWord(self.rank, arr))
-            else:
-                out.append(Word.from_array(self.rank, arr))
-        return WordSet(self.rank, tuple(out))
+def _coordinates(words: WordSet, basis: Automorphism):
+    """Code tuples of the tuple in the basis's coordinates, and which are cyclic."""
+    coords = _measure(words, basis)
+    return (
+        tuple([w.codes for w in coords]),
+        tuple([isinstance(w, CyclicWord) for w in coords]),
+    )
 
 
 @dataclass(frozen=True)
@@ -195,17 +157,18 @@ def descend(words: WordSet, start: Optional[Automorphism] = None) -> DescentResu
     """
     basis = Automorphism.identity(words.rank) if start is None else start
     initial = length_report(words, basis)
-    view = _TupleView.of(words, basis)
-    total = view.total()
+    entries, cyclic = _coordinates(words, basis)
+    total = sum(map(len, entries))
     path = []
     tables = transform_tables(words.rank)
     improved = True
     while improved:
         improved = False
         for tt in tables:
-            cand = view.substituted(tt.inv_flat, tt.inv_off)
-            if cand.total() < total:
-                view, total = cand, cand.total()
+            cand = _kernels.substitute_entries(entries, cyclic, tt.inv)
+            cand_total = sum(map(len, cand))
+            if cand_total < total:
+                entries, total = cand, cand_total
                 path.append(tt.descriptor)
                 basis = compose(basis, tt.descriptor.to_automorphism())
                 improved = True
@@ -215,9 +178,9 @@ def descend(words: WordSet, start: Optional[Automorphism] = None) -> DescentResu
 
 def is_local_minimum(words: WordSet, basis: Automorphism) -> bool:
     """No Whitehead transform strictly shrinks the tuple at this basis."""
-    view = _TupleView.of(words, basis)
-    total = view.total()
+    entries, cyclic = _coordinates(words, basis)
+    total = sum(map(len, entries))
     for tt in transform_tables(words.rank):
-        if view.substituted(tt.inv_flat, tt.inv_off).total() < total:
+        if sum(map(len, _kernels.substitute_entries(entries, cyclic, tt.inv))) < total:
             return False
     return True

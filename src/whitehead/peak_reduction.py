@@ -417,7 +417,7 @@ def _least_nonzero_matching(matrix: List[List[int]]) -> Dict[int, int]:
     return {i + 1: assign[i] + 1 for i in range(rank)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equal:
     """The bases agree letterwise under this signed permutation."""
 
@@ -427,7 +427,7 @@ class Equal:
         return {"kind": "equal", "perm": self.permutation.to_json_dict()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """A transform of the second basis that reduces the distance.
 

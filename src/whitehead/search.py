@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from . import _kernels
 from .bases import (
     Automorphism,
@@ -53,11 +51,15 @@ class SearchLimits:
 
     max_states: int = 1_000_000
 
+    def __post_init__(self):
+        if self.max_states < 0:
+            raise ValueError(f"max_states must be nonnegative, got {self.max_states}")
+
 
 @lru_cache(maxsize=None)
 def transforms_by_images(rank: int) -> Dict[tuple, WhiteheadTransformDescriptor]:
     return {
-        tuple(w.codes for w in d.images()): d
+        tuple([w.codes for w in d.images()]): d
         for d in enumerate_whitehead_transforms(rank)
     }
 
@@ -71,7 +73,7 @@ def _conjugate_descriptor(
         perm.inverse().to_automorphism(),
         compose(desc.to_automorphism(), perm.to_automorphism()),
     )
-    key = tuple(w.codes for w in aut.forward)
+    key = tuple([w.codes for w in aut.forward])
     found = transforms_by_images(rank).get(key)
     if found is None:
         raise TheoremViolation(
@@ -80,77 +82,55 @@ def _conjugate_descriptor(
     return found
 
 
-class _State:
-    """A tuple of coordinate arrays plus fixed kind flags."""
-
-    __slots__ = ("arrays", "key")
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-        self.key = (
-            tuple(len(a) for a in arrays),
-            b"".join(a.tobytes() for a in arrays),
-        )
+@lru_cache(maxsize=None)
+def _key_tables(rank: int) -> Tuple[bytes, ...]:
+    return tuple([_kernels.key_table(t) for t in relabel_tables(rank)])
 
 
-def _canonicalize(arrays, kinds_arr, rank) -> _State:
-    lens = [len(a) for a in arrays]
-    off = np.zeros(len(arrays) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    flat = (
-        np.concatenate(arrays) if sum(lens) else np.empty(0, dtype=np.int64)
-    )
-    best = _kernels.canonical_tuple(flat, off, kinds_arr, relabel_tables(rank), rank)
-    out = [best[off[k]:off[k + 1]] for k in range(len(arrays))]
-    return _State(out)
+def _canonicalize(entries, cyclic, rank):
+    """Canonical state of a tuple of code tuples: its lex-least relabeling."""
+    return _kernels.canonical_tuple(entries, cyclic, _key_tables(rank), rank)
 
 
-def _matching_permutation(arrays, kinds_arr, rank, target: _State) -> SignedPermutation:
-    """First enumerated permutation carrying arrays onto the target state."""
-    perms = enumerate_signed_permutations(rank)
-    tables = relabel_tables(rank)
-    for idx, perm in enumerate(perms):
-        ok = True
-        for a, cyc, want in zip(arrays, kinds_arr, target.arrays):
-            cand = _kernels.relabel(a, tables[idx], rank)
-            if cyc and len(cand) > 1:
-                s = int(_kernels.least_rotation(_kernels.key_codes(cand, rank)))
-                cand = np.roll(cand, -s)
-            if len(cand) != len(want) or not np.array_equal(cand, want):
-                ok = False
-                break
-        if ok:
+def _matching_permutation(entries, cyclic, rank, target) -> SignedPermutation:
+    """First enumerated permutation carrying entries onto the target state."""
+    want = bytes(_kernels.key_codes([c for w in target for c in w], rank))
+    found = _kernels.relabeled_keys(entries, cyclic, _key_tables(rank), rank)
+    for perm, keys in zip(enumerate_signed_permutations(rank), found):
+        if keys == want:
             return perm
     raise TheoremViolation("no letter permutation matches the canonical form")
 
 
-def _wrap_state(state: _State, kinds, rank) -> WordSet:
-    out = []
-    for a, kind in zip(state.arrays, kinds):
-        if kind == "cyclic":
-            out.append(CyclicWord(rank, a))
-        else:
-            out.append(Word.from_array(rank, a))
-    return WordSet(rank, tuple(out))
+def _entries(words: WordSet) -> tuple:
+    return tuple([w.codes for w in words])
+
+
+def _cyclic_flags(words: WordSet) -> Tuple[bool, ...]:
+    return tuple([k == "cyclic" for k in words.kinds()])
+
+
+def _wrap_state(state, cyclic, rank) -> WordSet:
+    return WordSet(rank, tuple([
+        CyclicWord._wrap(rank, w) if cyc else Word._wrap(rank, w)
+        for w, cyc in zip(state, cyclic)
+    ]))
 
 
 def canonical_form(words: WordSet) -> WordSet:
     """Lex-least letter relabeling, cyclic entries at least rotation."""
-    kinds = words.kinds()
-    kinds_arr = np.array([k == "cyclic" for k in kinds], dtype=np.int64)
-    arrays = [w.array() for w in words]
-    state = _canonicalize(arrays, kinds_arr, words.rank)
-    return _wrap_state(state, kinds, words.rank)
+    cyclic = _cyclic_flags(words)
+    state = _canonicalize(_entries(words), cyclic, words.rank)
+    return _wrap_state(state, cyclic, words.rank)
 
 
 def canonical_with_permutation(words: WordSet) -> Tuple[WordSet, SignedPermutation]:
     """Canonical form plus the first permutation that reaches it."""
-    kinds = words.kinds()
-    kinds_arr = np.array([k == "cyclic" for k in kinds], dtype=np.int64)
-    arrays = [w.array() for w in words]
-    state = _canonicalize(arrays, kinds_arr, words.rank)
-    perm = _matching_permutation(arrays, kinds_arr, words.rank, state)
-    return _wrap_state(state, kinds, words.rank), perm
+    cyclic = _cyclic_flags(words)
+    entries = _entries(words)
+    state = _canonicalize(entries, cyclic, words.rank)
+    perm = _matching_permutation(entries, cyclic, words.rank, state)
+    return _wrap_state(state, cyclic, words.rank), perm
 
 
 @dataclass(frozen=True)
@@ -169,39 +149,31 @@ def minimize_tuple(words: WordSet) -> MinimizeResult:
     )
 
 
-def _bfs_level_set(start: WordSet, limits: SearchLimits, target_key=None):
+def _bfs_level_set(start: WordSet, limits: SearchLimits, target=None):
     """Breadth-first walk of the level set from a canonical start state.
 
-    Returns (visited, parents, found_key); parents[key] holds
-    (parent_key, transform_index, permutation) to rebuild chains.
+    States are tuples of code tuples.  Returns (visited, found): visited
+    maps each state reached to (parent state, transform index), None for
+    the start, so chains can be rebuilt; found is the target state once
+    reached, else None.
     """
     rank = start.rank
-    kinds = start.kinds()
-    kinds_arr = np.array([k == "cyclic" for k in kinds], dtype=np.int64)
+    cyclic = _cyclic_flags(start)
     tables = transform_tables(rank)
     total = sum(len(w) for w in start)
 
-    root = _State([w.array() for w in start])
-    visited = {root.key: root}
-    parents = {}
+    root = _entries(start)
+    visited = {root: None}
     queue = [root]
     while queue:
         next_queue = []
         for state in queue:
             for t_idx, tt in enumerate(tables):
-                cand = []
-                clen = 0
-                for arr, cyc in zip(state.arrays, kinds_arr):
-                    img = _kernels.substitute(arr, tt.fwd_flat, tt.fwd_off, rank)
-                    if cyc:
-                        lo, hi = _kernels.cyclic_bounds(img)
-                        img = img[lo:hi]
-                    clen += len(img)
-                    cand.append(img)
-                if clen != total:
+                cand = _kernels.substitute_entries(state, cyclic, tt.fwd)
+                if sum(map(len, cand)) != total:
                     continue
-                canon = _canonicalize(cand, kinds_arr, rank)
-                if canon.key in visited:
+                canon = _canonicalize(cand, cyclic, rank)
+                if canon in visited:
                     continue
                 if len(visited) >= limits.max_states:
                     raise LimitExceeded(
@@ -209,26 +181,23 @@ def _bfs_level_set(start: WordSet, limits: SearchLimits, target_key=None):
                         states=len(visited),
                         limit=limits.max_states,
                     )
-                visited[canon.key] = canon
-                parents[canon.key] = (state.key, t_idx)
-                if target_key is not None and canon.key == target_key:
-                    return visited, parents, canon.key
+                visited[canon] = (state, t_idx)
+                if canon == target:
+                    return visited, canon
                 next_queue.append(canon)
         queue = next_queue
-    return visited, parents, None
+    return visited, None
 
 
 def level_set_component(words: WordSet, limits: SearchLimits = SearchLimits()):
     """All canonical tuples reachable by length-preserving transforms."""
     start = canonical_form(words)
-    visited, _, _ = _bfs_level_set(start, limits)
-    kinds = words.kinds()
-    return frozenset(
-        _wrap_state(s, kinds, words.rank) for s in visited.values()
-    )
+    visited, _ = _bfs_level_set(start, limits)
+    cyclic = _cyclic_flags(words)
+    return frozenset(_wrap_state(s, cyclic, words.rank) for s in visited)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitCertificate:
     """A verified witness that one tuple maps onto another.
 
@@ -273,7 +242,7 @@ def verify_certificate(cert: OrbitCertificate, source: WordSet, image: WordSet) 
     aut = _compose_parts(source.rank, cert.transforms, cert.permutation)
     if aut != cert.automorphism:
         return False
-    moved = tuple(aut.apply(w) for w in source)
+    moved = tuple([aut.apply(w) for w in source])
     return moved == image.words
 
 
@@ -319,29 +288,24 @@ def orbit_equivalent(
     c2, perm2 = canonical_with_permutation(m2.minimal)
     c1, perm1 = canonical_with_permutation(m1.minimal)
 
-    root = _State([w.array() for w in c1])
-    target = _State([w.array() for w in c2])
+    root = _entries(c1)
+    target = _entries(c2)
 
     chain = []
-    if root.key != target.key:
-        visited, parents, found = _bfs_level_set(c1, limits, target_key=target.key)
+    if root != target:
+        visited, found = _bfs_level_set(c1, limits, target=target)
         if found is None:
             return None
-        kinds_arr = np.array([k == "cyclic" for k in s1.kinds()], dtype=np.int64)
-        key = found
-        while key != root.key:
-            parent_key, t_idx = parents[key]
-            tt = transform_tables(rank)[t_idx]
-            cand = []
-            for arr, cyc in zip(visited[parent_key].arrays, kinds_arr):
-                img = _kernels.substitute(arr, tt.fwd_flat, tt.fwd_off, rank)
-                if cyc:
-                    lo, hi = _kernels.cyclic_bounds(img)
-                    img = img[lo:hi]
-                cand.append(img)
-            perm = _matching_permutation(cand, kinds_arr, rank, visited[key])
+        cyclic = _cyclic_flags(s1)
+        tables = transform_tables(rank)
+        state = found
+        while state != root:
+            parent, t_idx = visited[state]
+            tt = tables[t_idx]
+            cand = _kernels.substitute_entries(parent, cyclic, tt.fwd)
+            perm = _matching_permutation(cand, cyclic, rank, state)
             chain.append((tt.descriptor, perm))
-            key = parent_key
+            state = parent
         chain.reverse()
 
     builder = _CertificateBuilder(rank)

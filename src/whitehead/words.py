@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-import numpy as np
-
 from . import _kernels
 from .errors import InvalidLetter, RankMismatch
 
@@ -48,14 +46,14 @@ class Letter(NamedTuple):
         return c - 1 if c > 0 else rank - c - 1
 
 
-def _coerce_codes(rank: int, letters) -> list:
+def _coerce_codes(rank: int, letters) -> tuple:
     codes = []
     for item in letters:
         c = item.code if isinstance(item, Letter) else int(item)
         if c == 0 or abs(c) > rank:
             raise InvalidLetter(f"letter code {c} outside rank {rank}")
         codes.append(c)
-    return codes
+    return tuple(codes)
 
 
 def _check_rank(rank: int) -> int:
@@ -116,6 +114,14 @@ class Alphabet:
         return _format_codes(word.codes)
 
 
+def _least_cyclic(codes: tuple, rank: int) -> tuple:
+    """Cyclic reduction of a reduced code tuple, at its least rotation."""
+    lo, hi = _kernels.cyclic_bounds(codes)
+    codes = codes[lo:hi]
+    s = _kernels.least_rotation(_kernels.key_codes(codes, rank))
+    return codes[s:] + codes[:s]
+
+
 class Word:
     """A freely reduced straight word; construction reduces its input."""
 
@@ -123,9 +129,8 @@ class Word:
 
     def __init__(self, rank: int, letters: Iterable = ()):
         rank = _check_rank(rank)
-        arr = _kernels.free_reduce(_kernels.as_codes(_coerce_codes(rank, letters)))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "codes", tuple(int(c) for c in arr))
+        object.__setattr__(self, "codes", _kernels.free_reduce(_coerce_codes(rank, letters)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -146,19 +151,11 @@ class Word:
     def parse(cls, rank: int, text: str) -> "Word":
         return cls(rank, _parse_codes(_check_rank(rank), text))
 
-    @classmethod
-    def from_array(cls, rank: int, arr: np.ndarray) -> "Word":
-        # trusted: arr is already freely reduced
-        return cls._wrap(rank, tuple(int(c) for c in arr))
-
-    def array(self) -> np.ndarray:
-        return _kernels.as_codes(self.codes)
-
     def letters(self):
-        return tuple(Letter.from_code(c) for c in self.codes)
+        return tuple([Letter.from_code(c) for c in self.codes])
 
     def inverse(self) -> "Word":
-        return Word._wrap(self.rank, tuple(-c for c in reversed(self.codes)))
+        return Word._wrap(self.rank, tuple([-c for c in reversed(self.codes)]))
 
     def is_identity(self) -> bool:
         return not self.codes
@@ -169,7 +166,7 @@ class Word:
     def sort_key(self):
         """Shortlex key under the fixed letter order."""
         n = self.rank
-        return (len(self.codes), tuple(c - 1 if c > 0 else n - c - 1 for c in self.codes))
+        return (len(self.codes), tuple([c - 1 if c > 0 else n - c - 1 for c in self.codes]))
 
     def __len__(self):
         return len(self.codes)
@@ -204,24 +201,25 @@ class CyclicWord:
 
     def __init__(self, rank: int, letters: Iterable = ()):
         rank = _check_rank(rank)
-        arr = _kernels.free_reduce(_kernels.as_codes(_coerce_codes(rank, letters)))
-        lo, hi = _kernels.cyclic_bounds(arr)
-        arr = arr[lo:hi]
-        if len(arr) > 1:
-            s = int(_kernels.least_rotation(_kernels.key_codes(arr, rank)))
-            arr = np.roll(arr, -s)
+        reduced = _kernels.free_reduce(_coerce_codes(rank, letters))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "codes", tuple(int(c) for c in arr))
+        object.__setattr__(self, "codes", _least_cyclic(reduced, rank))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
 
     @classmethod
     def _wrap(cls, rank: int, codes: tuple) -> "CyclicWord":
+        # trusted constructor: codes already cyclically reduced at least rotation
         w = object.__new__(cls)
         object.__setattr__(w, "rank", rank)
         object.__setattr__(w, "codes", codes)
         return w
+
+    @classmethod
+    def _from_reduced(cls, rank: int, codes: tuple) -> "CyclicWord":
+        # trusted constructor: codes already freely reduced and validated
+        return cls._wrap(rank, _least_cyclic(codes, rank))
 
     @classmethod
     def identity(cls, rank: int) -> "CyclicWord":
@@ -231,11 +229,8 @@ class CyclicWord:
     def parse(cls, rank: int, text: str) -> "CyclicWord":
         return cls(rank, _parse_codes(_check_rank(rank), text))
 
-    def array(self) -> np.ndarray:
-        return _kernels.as_codes(self.codes)
-
     def inverse(self) -> "CyclicWord":
-        return CyclicWord(self.rank, tuple(-c for c in reversed(self.codes)))
+        return CyclicWord._from_reduced(self.rank, tuple([-c for c in reversed(self.codes)]))
 
     def is_identity(self) -> bool:
         return not self.codes
@@ -249,7 +244,7 @@ class CyclicWord:
 
     def sort_key(self):
         n = self.rank
-        return (len(self.codes), tuple(c - 1 if c > 0 else n - c - 1 for c in self.codes))
+        return (len(self.codes), tuple([c - 1 if c > 0 else n - c - 1 for c in self.codes]))
 
     def __len__(self):
         return len(self.codes)
@@ -282,8 +277,13 @@ def reduce(rank: int, letters: Iterable) -> Word:
 def multiply(u: Word, v: Word) -> Word:
     if u.rank != v.rank:
         raise RankMismatch(f"cannot multiply rank {u.rank} by rank {v.rank}")
-    arr = _kernels.free_reduce(_kernels.as_codes(u.codes + v.codes))
-    return Word.from_array(u.rank, arr)
+    a, b = u.codes, v.codes
+    # both factors are reduced, so letters cancel only across the junction
+    k = 0
+    m = min(len(a), len(b))
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return Word._wrap(u.rank, a[:len(a) - k] + b[k:])
 
 
 def invert(w: AnyWord) -> AnyWord:

@@ -261,6 +261,10 @@ class TestDistance:
         with pytest.raises(LimitExceeded):
             distance(X2, Y_AB, max_size=2)
 
+    def test_negative_size_cap_rejected(self):
+        with pytest.raises(ValueError):
+            distance(X2, Y_AB, max_size=-3)
+
     @given(st.data())
     @settings(max_examples=15, deadline=None)
     def test_random_pairs(self, data):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from whitehead import cli
 from whitehead.cli import main
+from whitehead.errors import TheoremViolation
 from whitehead.lengthfn import WordSet
 from whitehead.search import OrbitCertificate, verify_certificate
 
@@ -186,8 +188,32 @@ class TestBadInput:
         assert code == 2
         assert "rank" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["distance", "-x", "xid", "-y", "yab", "--max-states", "-1"],
+        ["distance", "-x", "xid", "-y", "yab", "--max-size", "-3"],
+        ["equiv", "comm", "sq", "--max-states", "-5"],
+    ])
+    def test_negative_budget(self, files, capsys, argv):
+        argv = [files.get(a, a) for a in argv] + ["-r", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "must be nonnegative" in err
+
     def test_seed_flag_accepted(self, files, capsys):
         code, out, _ = run(
             capsys, ["minimize", "-r", "2", files["abb"], "--json", "--seed", "5"]
         )
         assert code == 0
+
+
+class TestInternalInvariant:
+    def test_theorem_violation_exits_5(self, files, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TheoremViolation("certificate failed verification")
+
+        monkeypatch.setattr(cli, "orbit_equivalent", broken)
+        code, out, err = run(capsys, ["equiv", "-r", "2", files["abb"], files["a"]])
+        assert code == 5
+        assert out == ""
+        assert err == "error: internal invariant failed: certificate failed verification\n"

@@ -93,6 +93,10 @@ class TestLevelSetComponent:
         with pytest.raises(LimitExceeded):
             level_set_component(ws(2, "~aabb"), SearchLimits(max_states=1))
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            SearchLimits(max_states=-1)
+
 
 class TestOrbitEquivalence:
     def test_spec_positive_pair(self):

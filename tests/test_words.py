@@ -1,12 +1,16 @@
-"""Word layer: reduction, cyclic canonical forms, parsing, kernels."""
+"""Word layer: reduction, cyclic canonical forms, parsing, kernels.
+
+The kernel properties compare each tuple kernel in ``whitehead._kernels``
+against a few-line brute-force reference written here.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from whitehead import _kernels
+from whitehead.bases import enumerate_signed_permutations
 from whitehead.errors import InvalidLetter, RankMismatch
 from whitehead.words import (
     Alphabet,
@@ -30,13 +34,15 @@ def rank_and_codes(draw, max_rank=4, max_len=24):
 
 
 def brute_reduce(codes):
-    out = []
-    for c in codes:
-        if out and out[-1] == -c:
-            out.pop()
+    """Delete the first cancelling adjacent pair until none is left."""
+    out = list(codes)
+    while True:
+        for t in range(len(out) - 1):
+            if out[t] == -out[t + 1]:
+                del out[t:t + 2]
+                break
         else:
-            out.append(c)
-    return out
+            return out
 
 
 class TestParsing:
@@ -179,27 +185,89 @@ def brute_least_rotation(keys):
     return rots.index(min(rots))
 
 
+def letter_keys(codes, rank):
+    return tuple(c - 1 if c > 0 else rank - c - 1 for c in codes)
+
+
+@given(rank_and_codes())
+def test_free_reduce_matches_repeated_cancellation(rc):
+    rank, codes = rc
+    assert _kernels.free_reduce(tuple(codes)) == tuple(brute_reduce(codes))
+
+
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=30))
 def test_least_rotation_matches_brute_force(keys):
-    arr = np.asarray(keys, dtype=np.int64)
-    s = int(_kernels.least_rotation(arr))
     best = brute_least_rotation(keys)
     m = len(keys)
-    assert [keys[(s + t) % m] for t in range(m)] == [
-        keys[(best + t) % m] for t in range(m)
+    want = [keys[(best + t) % m] for t in range(m)]
+    for seq in (tuple(keys), bytes(keys)):
+        s = _kernels.least_rotation(seq)
+        assert [seq[(s + t) % m] for t in range(m)] == want
+
+
+@st.composite
+def rank_codes_and_images(draw):
+    rank, codes = draw(rank_and_codes())
+    letters = [c for c in range(-rank, rank + 1) if c != 0]
+    images = [
+        tuple(brute_reduce(draw(st.lists(st.sampled_from(letters), max_size=5))))
+        for _ in range(rank)
     ]
+    return rank, codes, images
 
 
-@given(rank_and_codes(max_rank=3, max_len=12), st.integers(0, 1))
-def test_canonical_tuple_backends_agree(rc, cyclic):
-    from whitehead.bases import relabel_tables
+@given(rank_codes_and_images())
+def test_substitute_matches_reduced_concatenation(rci):
+    rank, codes, images = rci
+    w = tuple(brute_reduce(codes))
+    spelled = []
+    for c in w:
+        img = images[abs(c) - 1]
+        spelled += img if c > 0 else [-d for d in reversed(img)]
+    table = _kernels.build_subst_table(images)
+    assert _kernels.substitute(w, table) == tuple(brute_reduce(spelled))
 
-    rank, codes = rc
-    w = CyclicWord(rank, codes) if cyclic else Word(rank, codes)
-    flat = _kernels.as_codes(w.codes)
-    off = np.array([0, len(w.codes)], dtype=np.int64)
-    kinds = np.array([cyclic], dtype=np.int64)
-    tables = relabel_tables(rank)
-    a = _kernels.canonical_tuple_loop(flat, off, kinds, tables, rank)
-    b = _kernels.canonical_tuple_numpy(flat, off, kinds, tables, rank)
-    assert list(a) == list(b)
+
+def brute_canonical(entries, cyclic, rank):
+    """Least relabeled tuple over every signed permutation, by letter keys."""
+    def least(codes):
+        rots = [codes[s:] + codes[:s] for s in range(len(codes))] or [codes]
+        return min(rots, key=lambda r: letter_keys(r, rank))
+
+    cands = []
+    for perm in enumerate_signed_permutations(rank):
+        moved = [tuple(perm.apply_code(c) for c in w) for w in entries]
+        cands.append(tuple(least(w) if cyc else w for w, cyc in zip(moved, cyclic)))
+    return min(cands, key=lambda t: [letter_keys(w, rank) for w in t])
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from([c for c in range(-rank, rank + 1) if c]),
+                             max_size=8),
+                    st.booleans(),
+                    st.integers(0, 7),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_canonical_tuple_matches_brute_force(drawn):
+    rank, raw = drawn
+    entries, cyclic = [], []
+    for codes, cyc, shift in raw:
+        w = CyclicWord(rank, codes).codes if cyc else Word(rank, codes).codes
+        if w:
+            shift %= len(w)
+            w = w[shift:] + w[:shift] if cyc else w
+        entries.append(w)
+        cyclic.append(cyc)
+    tables = [_kernels.key_table(p.table()) for p in enumerate_signed_permutations(rank)]
+    got = _kernels.canonical_tuple(tuple(entries), tuple(cyclic), tables, rank)
+    assert got == brute_canonical(entries, cyclic, rank)
