@@ -123,58 +123,63 @@ def relabel(w, table):
     return tuple([table[c + n] for c in w])
 
 
-def key_table(table):
-    """The relabeling table as a ``bytes.translate`` table on letter keys."""
-    n = len(table) // 2
-    codes = [c for c in range(-n, n + 1) if c]
-    out = bytearray(range(256))
-    for k, img in zip(key_codes(codes, n), key_codes(relabel(codes, table), n)):
-        out[k] = img
-    return bytes(out)
+def canonical_labelings(entries, cyclic, n):
+    """Lex-least relabeling of a tuple of code tuples, and the labelings
+    that reach it; cyclic[k] marks entry k as cyclic (least rotation).
 
+    Greedy, entry by entry: a letter met first takes the next free
+    generator, signed to appear positive, since any other label puts a
+    larger key there.  Only cyclic entries branch, over the start
+    rotations with the least first key; a rotation stops once its keys
+    pass the best, and every labeling that ties the best is kept.
 
-def relabeled_keys(entries, cyclic, key_tables, n):
-    """Yield the tuple's concatenated letter keys under each key table.
-
-    Each cyclic entry is brought to its least rotation after relabeling,
-    so for tuples with the same entry lengths, equal keys mean equal
-    relabeled tuples.
+    A labeling gives generator i's signed target, or 0 where i does not
+    occur; the permutations reaching the state fill some labeling's zeros.
     """
-    keys = bytes(key_codes([c for w in entries for c in w], n))
-    spans = []
-    lo = 0
+    # a labeling: (letter key of each slot c+n's label, -1 if none; labels used)
+    labelings = [([-1] * (2 * n + 1), 0)]
+    least = []
     for w, cyc in zip(entries, cyclic):
-        hi = lo + len(w)
-        if cyc and hi - lo > 1:
-            spans.append((lo, hi))
-        lo = hi
-    for kt in key_tables:
-        moved = keys.translate(kt)
-        if not spans:
-            yield moved
-            continue
-        parts = []
-        pos = 0
-        for lo, hi in spans:
-            seg = moved[lo:hi]
-            s = least_rotation(seg)
-            parts += (moved[pos:lo], seg[s:], seg[:s])
-            pos = hi
-        parts.append(moved[pos:])
-        yield b"".join(parts)
+        m = len(w)
+        ww = w + w
+        best = None
+        found = {}
+        for t, k in labelings:
+            starts = (0,)
+            if cyc and m > 1:
+                firsts = [x if x >= 0 else k for x in [t[c + n] for c in w]]
+                lo = min(firsts)
+                starts = [s for s in range(m) if firsts[s] == lo]
+            for s in starts:
+                u, j = t, k
+                out = []
+                tied = best is not None
+                for i, c in enumerate(ww[s:s + m]):
+                    x = u[c + n]
+                    if x < 0:
+                        if u is t:
+                            u = t[:]
+                        u[c + n] = x = j
+                        u[n - c] = n + j
+                        j += 1
+                    if tied and x != best[i]:
+                        if x > best[i]:
+                            break
+                        tied = False
+                    out.append(x)
+                else:
+                    if not tied:
+                        best, found = out, {}
+                    found.setdefault(tuple(u), (u, j))
+        least.append(best)
+        labelings = list(found.values())
+    # decode[key] is the signed code; key -1, a generator left unlabeled, gives 0
+    decode = [k + 1 if k < n else n - k - 1 for k in range(2 * n)] + [0]
+    state = tuple([tuple([decode[x] for x in keys]) for keys in least])
+    targets = [tuple([decode[t[i]] for i in range(n + 1, 2 * n + 1)]) for t, _ in labelings]
+    return state, targets
 
 
-def canonical_tuple(entries, cyclic, key_tables, n):
-    """Lex-least relabeling of a tuple of code tuples over the key tables.
-
-    cyclic[k] marks entry k as cyclic; it comes back at its least rotation.
-    """
-    best = min(relabeled_keys(entries, cyclic, key_tables, n))
-    decode = tuple([k + 1 if k < n else n - k - 1 for k in range(2 * n)])
-    out = []
-    lo = 0
-    for w in entries:
-        hi = lo + len(w)
-        out.append(tuple([decode[k] for k in best[lo:hi]]))
-        lo = hi
-    return tuple(out)
+def canonical_tuple(entries, cyclic, n):
+    """Lex-least relabeling of a tuple of code tuples; see canonical_labelings."""
+    return canonical_labelings(entries, cyclic, n)[0]

@@ -110,10 +110,6 @@ def _substituted(w: AnyWord, table) -> AnyWord:
     return Word._wrap(w.rank, codes)
 
 
-def apply(aut: Automorphism, w: AnyWord) -> AnyWord:
-    return aut.apply(w)
-
-
 def compose(s: Automorphism, t: Automorphism) -> Automorphism:
     """s after t: compose(s, t)(w) = s(t(w))."""
     if s.rank != t.rank:
@@ -248,11 +244,13 @@ class _TransformTables:
 
 @lru_cache(maxsize=None)
 def transform_tables(rank: int) -> Tuple[_TransformTables, ...]:
-    shared = {}  # the rank's tables draw on a few letter images; keep one of each
+    # tables draw on a few letter images, and an inverse table is another
+    shared = {}  # transform's forward table; keep one of each
 
     def table(desc):
         images = _kernels.build_subst_table([w.codes for w in desc.images()])
-        return tuple([shared.setdefault(img, img) for img in images])
+        t = tuple([shared.setdefault(img, img) for img in images])
+        return shared.setdefault(t, t)
 
     return tuple(
         _TransformTables(d, table(d), table(d.inverse()))
@@ -334,18 +332,21 @@ class SignedPermutation:
         return cls(rank, tuple(targets))
 
 
-@lru_cache(maxsize=None)
 def enumerate_signed_permutations(rank: int) -> Tuple[SignedPermutation, ...]:
     """All 2^n n! letter permutations, identity first."""
     out = []
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
             out.append(SignedPermutation(rank, tuple([p * s for p, s in zip(perm, signs)])))
-    out.sort(key=lambda p: p.targets != tuple(range(1, rank + 1)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
+def shared_permutation(targets: Tuple[int, ...]) -> SignedPermutation:
+    """One shared SignedPermutation per targets tuple, for values kept long."""
+    return SignedPermutation(len(targets), targets)
+
+
 def relabel_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
     """Relabel tables of every signed permutation, in enumeration order."""
     return tuple([p.table() for p in enumerate_signed_permutations(rank)])

@@ -6,13 +6,14 @@ forms are joined by length-preserving Whitehead transforms.  The search
 works on canonical forms: each tuple is relabeled by the lex-least
 signed letter permutation (cyclic entries re-rotated), which shrinks
 the level set by a factor of up to 2^n n! without losing completeness,
-since letter permutations are themselves automorphisms.
+since letter permutations are themselves automorphisms.  The lex-least
+relabeling is found greedily, entry by entry, without trying the 2^n n!
+permutations (``_kernels.canonical_labelings``).
 
-Every positive answer is returned as a certificate that composes the
-descent paths, the breadth-first chain and the relabelings back into a
-single automorphism carrying the first tuple to the second, stored as
-Whitehead transforms in application order plus one final letter
-permutation.  Certificates are verified before being returned.
+Every positive answer is returned as a certificate built from the
+descent paths, the breadth-first chain and the relabelings: Whitehead
+transforms in application order plus one final letter permutation.
+Certificates are verified before being returned.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .bases import (
     SignedPermutation,
     WhiteheadTransformDescriptor,
     compose,
-    enumerate_signed_permutations,
-    enumerate_whitehead_transforms,
-    relabel_tables,
+    shared_permutation,
     transform_tables,
 )
 from .errors import LimitExceeded, TheoremViolation
@@ -58,10 +57,8 @@ class SearchLimits:
 
 @lru_cache(maxsize=None)
 def transforms_by_images(rank: int) -> Dict[tuple, WhiteheadTransformDescriptor]:
-    return {
-        tuple([w.codes for w in d.images()]): d
-        for d in enumerate_whitehead_transforms(rank)
-    }
+    # a table's slots rank+1.. hold the generator images as code tuples
+    return {tt.fwd[rank + 1:]: tt.descriptor for tt in transform_tables(rank)}
 
 
 def _conjugate_descriptor(
@@ -82,24 +79,22 @@ def _conjugate_descriptor(
     return found
 
 
-@lru_cache(maxsize=None)
-def _key_tables(rank: int) -> Tuple[bytes, ...]:
-    return tuple([_kernels.key_table(t) for t in relabel_tables(rank)])
-
-
 def _canonicalize(entries, cyclic, rank):
     """Canonical state of a tuple of code tuples: its lex-least relabeling."""
-    return _kernels.canonical_tuple(entries, cyclic, _key_tables(rank), rank)
+    return _kernels.canonical_tuple(entries, cyclic, rank)
 
 
-def _matching_permutation(entries, cyclic, rank, target) -> SignedPermutation:
-    """First enumerated permutation carrying entries onto the target state."""
-    want = bytes(_kernels.key_codes([c for w in target for c in w], rank))
-    found = _kernels.relabeled_keys(entries, cyclic, _key_tables(rank), rank)
-    for perm, keys in zip(enumerate_signed_permutations(rank), found):
-        if keys == want:
-            return perm
-    raise TheoremViolation("no letter permutation matches the canonical form")
+def _matching_permutation(entries, cyclic, rank):
+    """Canonical state of a tuple of code tuples, and the first permutation
+    in enumeration order (absolute targets, then signs, + first) reaching
+    it: a labeling's free generators take the unused targets ascending."""
+    state, labelings = _kernels.canonical_labelings(entries, cyclic, rank)
+    fills = []
+    for targets in labelings:
+        free = iter(sorted(set(range(1, rank + 1)) - {abs(c) for c in targets}))
+        fills.append(tuple([c or next(free) for c in targets]))
+    first = min(fills, key=lambda p: ([abs(c) for c in p], [c < 0 for c in p]))
+    return state, shared_permutation(first)
 
 
 def _entries(words: WordSet) -> tuple:
@@ -127,9 +122,7 @@ def canonical_form(words: WordSet) -> WordSet:
 def canonical_with_permutation(words: WordSet) -> Tuple[WordSet, SignedPermutation]:
     """Canonical form plus the first permutation that reaches it."""
     cyclic = _cyclic_flags(words)
-    entries = _entries(words)
-    state = _canonicalize(entries, cyclic, words.rank)
-    perm = _matching_permutation(entries, cyclic, words.rank, state)
+    state, perm = _matching_permutation(_entries(words), cyclic, words.rank)
     return _wrap_state(state, cyclic, words.rank), perm
 
 
@@ -199,15 +192,21 @@ def level_set_component(words: WordSet, limits: SearchLimits = SearchLimits()):
 
 @dataclass(frozen=True, slots=True)
 class OrbitCertificate:
-    """A verified witness that one tuple maps onto another.
+    """A witness that one tuple maps onto another, kept as its factors.
 
     transforms apply first, in list order; the permutation applies last.
-    automorphism is their composition.
+    automorphism composes them on each access.
     """
 
     transforms: Tuple[WhiteheadTransformDescriptor, ...]
     permutation: SignedPermutation
-    automorphism: Automorphism
+
+    @property
+    def automorphism(self) -> Automorphism:
+        aut = Automorphism.identity(self.permutation.rank)
+        for d in self.transforms:
+            aut = compose(d.to_automorphism(), aut)
+        return compose(self.permutation.to_automorphism(), aut)
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,26 +221,18 @@ class OrbitCertificate:
             WhiteheadTransformDescriptor.from_json_dict(rank, d)
             for d in obj["transforms"]
         )
-        perm = SignedPermutation.from_json_dict(rank, obj["permutation"])
-        aut = _compose_parts(rank, transforms, perm)
-        if [w.to_text() for w in aut.forward] != list(obj["images"]):
+        cert = cls(transforms, SignedPermutation.from_json_dict(rank, obj["permutation"]))
+        if [w.to_text() for w in cert.automorphism.forward] != list(obj["images"]):
             raise ValueError("certificate images do not match its factors")
-        return cls(transforms, perm, aut)
-
-
-def _compose_parts(rank, transforms, permutation) -> Automorphism:
-    aut = Automorphism.identity(rank)
-    for d in transforms:
-        aut = compose(d.to_automorphism(), aut)
-    return compose(permutation.to_automorphism(), aut)
+        return cert
 
 
 def verify_certificate(cert: OrbitCertificate, source: WordSet, image: WordSet) -> bool:
-    """Certificate factors compose to its automorphism, which maps
-    source to image entrywise."""
-    aut = _compose_parts(source.rank, cert.transforms, cert.permutation)
-    if aut != cert.automorphism:
+    """Whether the certificate's factors, composed, map source to image
+    entrywise."""
+    if cert.permutation.rank != source.rank:
         return False
+    aut = cert.automorphism
     moved = tuple([aut.apply(w) for w in source])
     return moved == image.words
 
@@ -250,7 +241,6 @@ class _CertificateBuilder:
     """Accumulates factors in application order into (transforms, perm)."""
 
     def __init__(self, rank):
-        self.rank = rank
         self.transforms = []
         self.perm = SignedPermutation.identity(rank)
 
@@ -261,8 +251,7 @@ class _CertificateBuilder:
         self.perm = perm.compose(self.perm)
 
     def build(self, source: WordSet, image: WordSet) -> OrbitCertificate:
-        aut = _compose_parts(self.rank, tuple(self.transforms), self.perm)
-        cert = OrbitCertificate(tuple(self.transforms), self.perm, aut)
+        cert = OrbitCertificate(tuple(self.transforms), shared_permutation(self.perm.targets))
         if not verify_certificate(cert, source, image):
             raise TheoremViolation("assembled certificate failed verification")
         return cert
@@ -303,7 +292,9 @@ def orbit_equivalent(
             parent, t_idx = visited[state]
             tt = tables[t_idx]
             cand = _kernels.substitute_entries(parent, cyclic, tt.fwd)
-            perm = _matching_permutation(cand, cyclic, rank, state)
+            canon, perm = _matching_permutation(cand, cyclic, rank)
+            if canon != state:
+                raise TheoremViolation("level-set chain does not replay its canonical forms")
             chain.append((tt.descriptor, perm))
             state = parent
         chain.reverse()

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitehead.bases import Automorphism, SignedPermutation
+from whitehead.bases import Automorphism, SignedPermutation, enumerate_signed_permutations
 from whitehead.errors import KindMismatch, LimitExceeded
 from whitehead.lengthfn import WordSet, total_length
 from whitehead.search import (
     OrbitCertificate,
     SearchLimits,
+    _matching_permutation,
     canonical_form,
     canonical_with_permutation,
     level_set_component,
@@ -58,13 +60,48 @@ class TestCanonicalForm:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(2, 3), st.randoms(use_true_random=False))
     def test_invariant_under_any_relabeling(self, rank, rng):
-        from whitehead.bases import enumerate_signed_permutations
-
         s = WordSet(rank, (random_word(rank, 6, rng), random_cyclic_word(rank, 4, rng)))
         perms = enumerate_signed_permutations(rank)
         p = perms[rng.randrange(len(perms))]
         moved = WordSet(rank, tuple(p.apply(w) for w in s))
         assert canonical_form(moved) == canonical_form(s)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_permutation_is_first_enumerated_match(self, rank, rng):
+        # short entries leave generators unused, so free targets get filled
+        words = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                words.append(random_cyclic_word(rank, rng.randint(1, 6), rng))
+            else:
+                words.append(random_word(rank, rng.randint(0, 6), rng))
+        s = WordSet(rank, tuple(words))
+        entries, cyclic = [], []
+        for w in s:
+            cyc = isinstance(w, CyclicWord)
+            shift = rng.randrange(len(w)) if cyc and len(w) else 0
+            entries.append(w.codes[shift:] + w.codes[:shift])
+            cyclic.append(cyc)
+        state, perm = _matching_permutation(tuple(entries), tuple(cyclic), rank)
+        canon = canonical_form(s)
+        assert state == tuple([w.codes for w in canon])
+        first = next(
+            p for p in enumerate_signed_permutations(rank)
+            if WordSet(rank, tuple(p.apply(w) for w in s)) == canon
+        )
+        assert perm == first
+
+    def test_rank_eight_needs_no_enumeration(self):
+        # 2^8 8! = 10,321,920 signed permutations; the product of four
+        # commutators ties under several labelings
+        s = ws(8, "~abABcdCDefEFghGH", "cgA", "~hd")
+        start = time.perf_counter()
+        canon, perm = canonical_with_permutation(s)
+        elapsed = time.perf_counter() - start
+        assert WordSet(8, tuple(perm.apply(w) for w in s)) == canon
+        assert canonical_form(canon) == canon
+        assert elapsed < 2.0
 
 
 class TestMinimize:
