@@ -123,9 +123,9 @@ def relabel(w, table):
     return tuple([table[c + n] for c in w])
 
 
-def canonical_labelings(entries, cyclic, n):
-    """Lex-least relabeling of a tuple of code tuples, and the labelings
-    that reach it; cyclic[k] marks entry k as cyclic (least rotation).
+def canonical_tuple(entries, cyclic, n, with_labelings=False):
+    """Lex-least relabeling of a tuple of code tuples; cyclic[k] marks
+    entry k as cyclic (least rotation).
 
     Greedy, entry by entry: a letter met first takes the next free
     generator, signed to appear positive, since any other label puts a
@@ -133,8 +133,10 @@ def canonical_labelings(entries, cyclic, n):
     rotations with the least first key; a rotation stops once its keys
     pass the best, and every labeling that ties the best is kept.
 
-    A labeling gives generator i's signed target, or 0 where i does not
-    occur; the permutations reaching the state fill some labeling's zeros.
+    With with_labelings, returns (state, labelings): each labeling that
+    reaches the state as a list whose slot c+n holds the letter key of
+    code c's label, or -1 where c does not occur; the permutations
+    reaching the state fill some labeling's unlabeled generators.
     """
     # a labeling: (letter key of each slot c+n's label, -1 if none; labels used)
     labelings = [([-1] * (2 * n + 1), 0)]
@@ -173,13 +175,9 @@ def canonical_labelings(entries, cyclic, n):
                     found.setdefault(tuple(u), (u, j))
         least.append(best)
         labelings = list(found.values())
-    # decode[key] is the signed code; key -1, a generator left unlabeled, gives 0
-    decode = [k + 1 if k < n else n - k - 1 for k in range(2 * n)] + [0]
+    # decode[key] is the signed code of a letter key
+    decode = [k + 1 if k < n else n - k - 1 for k in range(2 * n)]
     state = tuple([tuple([decode[x] for x in keys]) for keys in least])
-    targets = [tuple([decode[t[i]] for i in range(n + 1, 2 * n + 1)]) for t, _ in labelings]
-    return state, targets
-
-
-def canonical_tuple(entries, cyclic, n):
-    """Lex-least relabeling of a tuple of code tuples; see canonical_labelings."""
-    return canonical_labelings(entries, cyclic, n)[0]
+    if with_labelings:
+        return state, [t for t, _ in labelings]
+    return state

@@ -8,7 +8,7 @@ signed letter permutation (cyclic entries re-rotated), which shrinks
 the level set by a factor of up to 2^n n! without losing completeness,
 since letter permutations are themselves automorphisms.  The lex-least
 relabeling is found greedily, entry by entry, without trying the 2^n n!
-permutations (``_kernels.canonical_labelings``).
+permutations (``_kernels.canonical_tuple``).
 
 Every positive answer is returned as a certificate built from the
 descent paths, the breadth-first chain and the relabelings: Whitehead
@@ -79,18 +79,22 @@ def _conjugate_descriptor(
     return found
 
 
-def _canonicalize(entries, cyclic, rank):
-    """Canonical state of a tuple of code tuples: its lex-least relabeling."""
-    return _kernels.canonical_tuple(entries, cyclic, rank)
+def _canonicalize(entries, cyclic, rank, with_labelings=False):
+    """Canonical state of a tuple of code tuples: its lex-least relabeling
+    (and the labelings reaching it; see ``_kernels.canonical_tuple``)."""
+    return _kernels.canonical_tuple(entries, cyclic, rank, with_labelings)
 
 
 def _matching_permutation(entries, cyclic, rank):
     """Canonical state of a tuple of code tuples, and the first permutation
     in enumeration order (absolute targets, then signs, + first) reaching
     it: a labeling's free generators take the unused targets ascending."""
-    state, labelings = _kernels.canonical_labelings(entries, cyclic, rank)
+    state, labelings = _canonicalize(entries, cyclic, rank, True)
+    # generator i's target is the signed code of the letter key in slot rank+i
+    decode = [k + 1 if k < rank else rank - k - 1 for k in range(2 * rank)] + [0]
     fills = []
-    for targets in labelings:
+    for t in labelings:
+        targets = [decode[x] for x in t[rank + 1:]]
         free = iter(sorted(set(range(1, rank + 1)) - {abs(c) for c in targets}))
         fills.append(tuple([c or next(free) for c in targets]))
     first = min(fills, key=lambda p: ([abs(c) for c in p], [c < 0 for c in p]))
