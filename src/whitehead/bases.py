@@ -26,7 +26,7 @@ from .errors import NotABasis, RankMismatch, TheoremViolation
 from .words import AnyWord, CyclicWord, Letter, Word
 
 
-def _letter_codes_in_order(rank: int):
+def _signed_letters(rank: int):
     return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
 
 
@@ -211,7 +211,7 @@ def enumerate_whitehead_transforms(rank: int) -> Tuple[WhiteheadTransformDescrip
     out = []
     if rank < 2:
         return ()
-    for m in _letter_codes_in_order(rank):
+    for m in _signed_letters(rank):
         others = [i for i in range(1, rank + 1) if i != abs(m)]
         for combo in itertools.product(_PAIR_OPTIONS, repeat=len(others)):
             if not any(l or r for l, r in combo):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .bases import Automorphism, fold
+from .bases import Automorphism, _signed_letters, fold
 from .errors import (
     LimitExceeded,
     PreconditionViolated,
@@ -33,10 +33,6 @@ from .errors import (
 from .lengthfn import WordSet, length_report
 from .search import SearchLimits
 from .words import CyclicWord, Word, multiply
-
-
-def _signed_letters(rank: int) -> List[int]:
-    return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
 
 
 def _shortlex_min(words: Iterable[Word]) -> Word:
@@ -135,39 +131,43 @@ def right_tree_closure(y: Automorphism, words: Iterable[Word]) -> FrozenSet[Word
     return frozenset(out)
 
 
+def _walk(
+    step, rank: int, vertices, root: Word, cut=()
+) -> Dict[Word, Optional[Tuple[Word, int]]]:
+    """Parent steps of the tree grown from the root inside the vertex set.
+
+    Grows depth first along ``step(vertex, letter)`` over the signed
+    letters, never crossing the edge between the two vertices in ``cut``.
+    Maps each reached vertex to (parent, letter) and the root to None.
+    When the edges restricted to the set form a forest, the map is that
+    tree's parent map whatever the growth order.
+    """
+    parent: Dict[Word, Optional[Tuple[Word, int]]] = {root: None}
+    stack = [root]
+    letters = _signed_letters(rank)
+    while stack:
+        u = stack.pop()
+        for c in letters:
+            w = step(u, c)
+            if w in vertices and w not in parent and not (u in cut and w in cut):
+                parent[w] = (u, c)
+                stack.append(w)
+    return parent
+
+
 def left_forest_component(
     x: Automorphism, vertices: FrozenSet[Word], root: Optional[Word] = None
 ) -> FrozenSet[Word]:
     """Component of the root in the left edges restricted to the set."""
     root = Word.identity(x.rank) if root is None else root
-    seen = {root}
-    queue = [root]
-    letters = _signed_letters(x.rank)
-    while queue:
-        v = queue.pop()
-        for c in letters:
-            w = left_step(x, c, v)
-            if w in vertices and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return frozenset(_walk(lambda u, c: left_step(x, c, u), x.rank, vertices, root))
 
 
 def right_forest_component(
     y: Automorphism, vertices: FrozenSet[Word], root: Optional[Word] = None
 ) -> FrozenSet[Word]:
     root = Word.identity(y.rank) if root is None else root
-    seen = {root}
-    queue = [root]
-    letters = _signed_letters(y.rank)
-    while queue:
-        v = queue.pop()
-        for c in letters:
-            w = right_step(y, v, c)
-            if w in vertices and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return frozenset(_walk(lambda u, c: right_step(y, u, c), y.rank, vertices, root))
 
 
 def krstic_translator(x: Automorphism, y: Automorphism) -> VertexSet:
@@ -277,15 +277,17 @@ def build_gersten_graph(
     if x.rank != y.rank or v.rank != x.rank:
         raise RankMismatch("ranks of bases and vertex set must agree")
     verts = v.vertices
-    x_edges = set()
-    y_edges = set()
-    for w in verts:
-        for i in range(1, x.rank + 1):
-            if left_step(x, i, w) in verts:
-                x_edges.add((i, w))
-            if right_step(y, w, i) in verts:
-                y_edges.add((w, i))
-    return GerstenGraph(x, y, v, frozenset(x_edges), frozenset(y_edges))
+    y_edges = frozenset(
+        (w, i) for w in verts for i in range(1, y.rank + 1) if right_step(y, w, i) in verts
+    )
+    return GerstenGraph(x, y, v, _left_edges(x, verts), y_edges)
+
+
+def _left_edges(x: Automorphism, verts) -> FrozenSet[Tuple[int, Word]]:
+    """Left edges (positive letter, tail) with both ends in the set."""
+    return frozenset(
+        (i, w) for w in verts for i in range(1, x.rank + 1) if left_step(x, i, w) in verts
+    )
 
 
 def to_dot(graph: GerstenGraph) -> str:
@@ -464,21 +466,13 @@ class _PathEnv:
         # result shares one object per vertex however often it is visited
         self.verts = {v: v for v in graph.vertices.vertices}
         root = self.verts[Word.identity(self.rank)]
-        # parent steps of the right spanning tree, radiating from the root
-        parent: Dict[Word, Tuple[Word, int]] = {}
-        seen = {root}
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                for c in _signed_letters(self.rank):
-                    w = self.verts.get(right_step(self.y, v, c))
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        parent[w] = (v, c)
-                        nxt.append(w)
-            queue = nxt
-        if seen != self.verts.keys():
+        # parent steps of the right spanning tree (a tree has only one);
+        # stepping through self.verts keeps the set's own Word objects
+        parent = _walk(
+            lambda u, c: self.verts.get(right_step(self.y, u, c)),
+            self.rank, self.verts, root,
+        )
+        if parent.keys() != self.verts.keys():
             raise PreconditionViolated("right edges do not span the vertex set")
         self.parent = parent
         self.root = root
@@ -527,6 +521,34 @@ def _steps_inverse_pair(a: tuple, b: tuple) -> bool:
     return b[2] == -a[2]
 
 
+def _slide_left_run(env: _PathEnv, run: List[tuple], pair: tuple) -> List[tuple]:
+    """Move a run of left steps across the right step pair opened by pair.
+
+    The pair cancels, so the run lands right-translated by the inverse of
+    its letter image; every moved step must stay inside the vertex set.
+    """
+    shift = env.y.letter_image(pair[2]).inverse()
+    block = []
+    for _, c, v in run:
+        moved = multiply(v, shift)
+        if moved not in env.verts or left_step(env.x, c, moved) not in env.verts:
+            raise TheoremViolation("slid left block left the vertex set")
+        block.append(("x", c, env.verts[moved]))
+    return block
+
+
+def _slide_right_run(env: _PathEnv, run: List[tuple], pair: tuple) -> List[tuple]:
+    """Move a run of right steps across the left step pair opened by pair."""
+    img = env.x.letter_image(-pair[1])
+    block = []
+    for _, v, c in run:
+        moved = multiply(img, v)
+        if moved not in env.verts or right_step(env.y, moved, c) not in env.verts:
+            raise TheoremViolation("slid right block left the vertex set")
+        block.append(("y", env.verts[moved], c))
+    return block
+
+
 def _reduce_straight(steps: List[tuple], env: _PathEnv) -> List[tuple]:
     changed = True
     while changed:
@@ -549,18 +571,11 @@ def _reduce_straight(steps: List[tuple], env: _PathEnv) -> List[tuple]:
             j = i + 1
             while j < len(steps) and steps[j][0] == "x":
                 j += 1
-            if j == i + 1 or j >= len(steps) or steps[j][0] != "y":
+            if j == i + 1 or j >= len(steps):
                 continue
-            if steps[j][2] != -steps[i][2]:
+            if not _steps_inverse_pair(steps[i], steps[j]):
                 continue
-            shift = env.y.letter_image(steps[i][2]).inverse()
-            block = []
-            for _, c, v in steps[i + 1:j]:
-                moved = multiply(v, shift)
-                if moved not in env.verts or left_step(env.x, c, moved) not in env.verts:
-                    raise TheoremViolation("slid left block left the vertex set")
-                block.append(("x", c, env.verts[moved]))
-            steps[i:j + 1] = block
+            steps[i:j + 1] = _slide_left_run(env, steps[i + 1:j], steps[i])
             changed = True
             break
     return steps
@@ -581,12 +596,7 @@ def _reduce_cyclic(steps: List[tuple], env: _PathEnv) -> List[tuple]:
             while steps[j][0] != kind and gap < m:
                 j = (j + 1) % m
                 gap += 1
-            if j == i:
-                continue
-            a, b = steps[i], steps[j]
-            if kind == "y" and b[2] == -a[2]:
-                return i, j
-            if kind == "x" and b[1] == -a[1]:
+            if j != i and _steps_inverse_pair(steps[i], steps[j]):
                 return i, j
         return None
 
@@ -604,39 +614,17 @@ def _reduce_cyclic(steps: List[tuple], env: _PathEnv) -> List[tuple]:
                 break
         if changed:
             continue
-        # left letter pair across a right run: drop both, slide run left
-        hit = find_pair("x")
-        if hit is not None:
-            i, j = hit
-            c = steps[i][1]
-            img = env.x.letter_image(-c)
-            run = steps[i + 1:j] if i < j else steps[i + 1:] + steps[:j]
-            rest = steps[j + 1:] + steps[:i] if i < j else steps[j + 1:i]
-            block = []
-            for _, v, cy in run:
-                moved = multiply(img, v)
-                if moved not in env.verts or right_step(env.y, moved, cy) not in env.verts:
-                    raise TheoremViolation("slid right block left the vertex set")
-                block.append(("y", env.verts[moved], cy))
-            steps[:] = block + rest
-            changed = True
-            continue
-        # right letter pair across a left run: drop both, slide run right
-        hit = find_pair("y")
-        if hit is not None:
-            i, j = hit
-            shift = env.y.letter_image(steps[i][2]).inverse()
-            run = steps[i + 1:j] if i < j else steps[i + 1:] + steps[:j]
-            rest = steps[j + 1:] + steps[:i] if i < j else steps[j + 1:i]
-            block = []
-            for _, c, v in run:
-                moved = multiply(v, shift)
-                if moved not in env.verts or left_step(env.x, c, moved) not in env.verts:
-                    raise TheoremViolation("slid left block left the vertex set")
-                block.append(("x", c, env.verts[moved]))
-            steps[:] = block + rest
-            changed = True
-            continue
+        # a left letter pair across a right run, then a right letter pair
+        # across a left run: drop both pair steps and slide the run
+        for kind, slide in (("x", _slide_right_run), ("y", _slide_left_run)):
+            hit = find_pair(kind)
+            if hit is not None:
+                i, j = hit
+                run = steps[i + 1:j] if i < j else steps[i + 1:] + steps[:j]
+                rest = steps[j + 1:] + steps[:i] if i < j else steps[j + 1:i]
+                steps[:] = slide(env, run, steps[i]) + rest
+                changed = True
+                break
     return steps
 
 

@@ -201,8 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-r", "--rank", type=int, required=True)
         p.add_argument("--max-states", type=int, default=1_000_000)
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all commands are deterministic")
         if bases:
             p.add_argument("-x", required=True, metavar="BASIS_JSON")
             p.add_argument("-y", required=True, metavar="BASIS_JSON")

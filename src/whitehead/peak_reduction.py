@@ -30,6 +30,7 @@ from .bases import (
     Automorphism,
     SignedPermutation,
     WhiteheadTransformDescriptor,
+    _signed_letters,
     compose,
     signed_permutation_match,
 )
@@ -37,7 +38,8 @@ from .cayley_gersten import (
     GerstenGraph,
     TraversalCounts,
     VertexSet,
-    _signed_letters,
+    _left_edges,
+    _walk,
     build_gersten_graph,
     distance,
     is_translator,
@@ -104,19 +106,10 @@ def partition_chi(x: Automorphism, v: VertexSet, edge: Edge) -> Partition:
         raise EdgeAbsent(f"edge tail {tail.to_text() or '1'!r} not in the vertex set")
     if head not in v:
         raise EdgeAbsent(f"edge head {head.to_text() or '1'!r} not in the vertex set")
-    blocked = frozenset((tail, head))
-    root = Word.identity(x.rank)
-    seen = {root}
-    queue = [root]
-    letters = _signed_letters(x.rank)
-    while queue:
-        u = queue.pop()
-        for d in letters:
-            w = left_step(x, d, u)
-            if w in v and w not in seen and frozenset((u, w)) != blocked:
-                seen.add(w)
-                queue.append(w)
-    v0 = frozenset(seen)
+    v0 = frozenset(_walk(
+        lambda u, d: left_step(x, d, u), x.rank, v.vertices,
+        Word.identity(x.rank), (tail, head),
+    ))
     return Partition(edge=(c, tail), v0=v0, v1=v.vertices - v0)
 
 
@@ -213,12 +206,12 @@ class CaseContext:
         t_x = g.x_tails(xs)
         if not (vs in s_y and xv in s_y and vs in t_x and vy in t_x):
             raise PreconditionViolated("frontier needs the full edge square")
-        west = _component_in(
-            lambda u, d: left_step(x, d, u), s_y, vs, frozenset((vs, xv)), x.rank
+        west = frozenset(
+            _walk(lambda u, d: left_step(x, d, u), x.rank, s_y, vs, (vs, xv))
         )
         east = s_y - west
-        south = _component_in(
-            lambda u, d: right_step(y, u, d), t_x, vs, frozenset((vs, vy)), y.rank
+        south = frozenset(
+            _walk(lambda u, d: right_step(y, u, d), y.rank, t_x, vs, (vs, vy))
         )
         north = t_x - south
         if xv not in east or vy not in north:
@@ -236,29 +229,6 @@ class CaseContext:
             raise TheoremViolation("frontier count bounds failed")
         return Frontier(west, east, south, north, proper,
                         h_west, h_east, h_south, h_north, h_proper)
-
-
-def _component_in(step, vertices, root, blocked_pair, rank):
-    seen = {root}
-    queue = [root]
-    letters = _signed_letters(rank)
-    while queue:
-        u = queue.pop()
-        for d in letters:
-            w = step(u, d)
-            if w in vertices and w not in seen and frozenset((u, w)) != blocked_pair:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
-def _left_restriction_edges(x: Automorphism, vertices: FrozenSet[Word]):
-    edges = set()
-    for i in range(1, x.rank + 1):
-        for u in vertices:
-            if left_step(x, i, u) in vertices:
-                edges.add((i, u))
-    return edges
 
 
 def build_case_context(
@@ -300,9 +270,8 @@ def build_case_context(
         anchor = next(iter(tails))
         if left_forest_component(x, tails, anchor) != tails:
             raise TheoremViolation(f"tail set of letter {c} is not left-connected")
-        translated = {(i, right_step(y, u, c)) for i, u in
-                      _left_restriction_edges(x, tails)}
-        if translated != _left_restriction_edges(x, graph.y_heads(c)):
+        translated = {(i, right_step(y, u, c)) for i, u in _left_edges(x, tails)}
+        if translated != _left_edges(x, graph.y_heads(c)):
             raise TheoremViolation(f"tail and head trees of letter {c} disagree")
     chi_hat: Dict[int, int] = {}
     one_part: List[int] = []
@@ -573,10 +542,7 @@ def case2_step(
     if y_wide is None:
         raise TheoremViolation("oversized translator with all-single right letters")
     tails = graph.y_tails(y_wide)
-    in_edges = sorted(
-        ((i, u) for i, u in _left_restriction_edges(x, tails)),
-        key=lambda e: (e[0], e[1].sort_key()),
-    )
+    in_edges = sorted(_left_edges(x, tails), key=lambda e: (e[0], e[1].sort_key()))
     if not in_edges:
         raise TheoremViolation("parallel right edges span no left edge")
     x_star = in_edges[0][0]

@@ -40,11 +40,6 @@ class Letter(NamedTuple):
     def from_code(cls, code: int) -> "Letter":
         return cls(abs(code), 1 if code > 0 else -1)
 
-    def key(self, rank: int) -> int:
-        """Position in the fixed letter order of the given rank."""
-        c = self.code
-        return c - 1 if c > 0 else rank - c - 1
-
 
 def _coerce_codes(rank: int, letters) -> tuple:
     codes = []
@@ -165,8 +160,7 @@ class Word:
 
     def sort_key(self):
         """Shortlex key under the fixed letter order."""
-        n = self.rank
-        return (len(self.codes), tuple([c - 1 if c > 0 else n - c - 1 for c in self.codes]))
+        return (len(self.codes), _kernels.key_codes(self.codes, self.rank))
 
     def __len__(self):
         return len(self.codes)
@@ -243,8 +237,7 @@ class CyclicWord:
         return Word._wrap(self.rank, self.codes)
 
     def sort_key(self):
-        n = self.rank
-        return (len(self.codes), tuple([c - 1 if c > 0 else n - c - 1 for c in self.codes]))
+        return (len(self.codes), _kernels.key_codes(self.codes, self.rank))
 
     def __len__(self):
         return len(self.codes)

@@ -5,6 +5,7 @@ from whitehead.bases import Automorphism
 from whitehead.cayley_gersten import (
     DecoratedPath,
     VertexSet,
+    _walk,
     build_gersten_graph,
     distance,
     is_translator,
@@ -129,6 +130,58 @@ class TestClosures:
         # aa is not a left neighbor of the identity, a is missing
         verts = frozenset([Word.identity(2), Word.parse(2, "aa")])
         assert left_forest_component(X2, verts) == frozenset([Word.identity(2)])
+
+
+def _closure(step, rank, vertices, root, cut):
+    # brute-force fixed point: add every uncut neighbour inside the set
+    letters = [c for c in range(-rank, rank + 1) if c]
+    cut = frozenset(cut)
+    reached = {root}
+    while True:
+        grown = reached | {
+            w
+            for u in reached
+            for w in (step(u, c) for c in letters)
+            if w in vertices and frozenset((u, w)) != cut
+        }
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+class TestWalk:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_closure(self, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        rank = rng.choice((2, 3))
+        x = random_automorphism(rank, rng.randint(0, 3), rng)
+        y = random_automorphism(rank, rng.randint(0, 3), rng)
+
+        def words():
+            return [random_word(rank, rng.randint(0, 4), rng)
+                    for _ in range(rng.randint(1, 3))]
+
+        strays = {random_word(rank, rng.randint(1, 4), rng)
+                  for _ in range(rng.randint(0, 3))}
+        verts = left_tree_closure(x, words()) | right_tree_closure(y, words()) | strays
+        ordered = sorted(verts, key=Word.sort_key)
+        root = rng.choice(ordered)
+        sides = [lambda u, c: left_step(x, c, u), lambda u, c: right_step(y, u, c)]
+        for step in sides:
+            edges = [(u, step(u, c)) for u in ordered for c in range(1, rank + 1)
+                     if step(u, c) in verts]
+            cut = rng.choice(edges) if edges and rng.random() < 0.7 else ()
+            parent = _walk(step, rank, verts, root, cut)
+            assert parent.keys() == _closure(step, rank, verts, root, cut)
+            assert parent[root] is None
+            for child, entry in parent.items():
+                if child == root:
+                    continue
+                u, c = entry
+                assert u in parent
+                assert step(u, c) == child
+                assert frozenset((u, child)) != frozenset(cut)
 
 
 class TestKrsticTranslator:

@@ -200,11 +200,14 @@ class TestBadInput:
         assert out == ""
         assert "must be nonnegative" in err
 
-    def test_seed_flag_accepted(self, files, capsys):
-        code, out, _ = run(
-            capsys, ["minimize", "-r", "2", files["abb"], "--json", "--seed", "5"]
-        )
-        assert code == 0
+    def test_seed_flag_rejected(self, files, capsys):
+        # every command is deterministic, so there is no --seed to pass
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "-r", "2", files["abb"], "--json", "--seed", "5"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--seed" in out.err
 
 
 class TestInternalInvariant:
