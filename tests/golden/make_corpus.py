@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tests/golden/make_corpus.py > tests/golden/corpus.json
 
-Inputs are drawn from fixed seeds at ranks 2 and 3; each case records the
-input files, the argument vector (file arguments by name), the exit code
-and the exact stdout bytes of ``whitehead.cli.main``.  ``test_golden.py``
+Inputs are drawn from fixed seeds at ranks 2 and 3, plus rank-4 ``minimize``
+and ``equiv`` cases that pin the descent order over 504 transforms.  Each
+case records the input files, the argument vector (file arguments by
+name), the exit code and the exact stdout bytes of ``whitehead.cli.main``.  ``test_golden.py``
 replays every case and compares byte for byte, so the corpus pins the
 outputs together with the enumeration and witness orders behind them.
 A case whose output changes on purpose needs a regenerated corpus and a
@@ -69,6 +70,25 @@ def run_case(files, argv):
     return code, out.getvalue()
 
 
+def _equiv_case(rank, rng, unrelated):
+    """Files and argv of one `equiv` case: the second tuple is an
+    automorphic image of the first, or an unrelated tuple of the same kinds."""
+    words = _word_set(rank, rng, 2, 5)
+    if unrelated:
+        other = _word_set(rank, rng, len(words), 5)
+        other = (other + words)[: len(words)]
+        # keep the kinds per position so the pair is comparable
+        other = [
+            (CyclicWord(rank, o.codes) if isinstance(w, CyclicWord) else Word(rank, o.codes))
+            for o, w in zip(other, words)
+        ]
+    else:
+        aut = random_automorphism(rank, rng.randint(1, 3), rng)
+        other = [aut.apply(w) for w in words]
+    return ({"s": _words_file(rank, words), "t": _words_file(rank, other)},
+            ["equiv", "-r", str(rank), "s", "t", "--json"])
+
+
 def _minimal_pairs(rng, wanted):
     """Test-05 style: two distinct local minima of one rank-2 tuple at equal
     length, as many per distance as wanted[d] (distance searches of at most
@@ -108,20 +128,7 @@ def cases():
 
     for k in range(12):
         rank = 2 if k < 7 else 3
-        words = _word_set(rank, rng, 2, 5)
-        if k % 3 == 2:
-            other = _word_set(rank, rng, len(words), 5)
-            other = (other + words)[: len(words)]
-            # keep the kinds per position so the pair is comparable
-            other = [
-                (CyclicWord(rank, o.codes) if isinstance(w, CyclicWord) else Word(rank, o.codes))
-                for o, w in zip(other, words)
-            ]
-        else:
-            aut = random_automorphism(rank, rng.randint(1, 3), rng)
-            other = [aut.apply(w) for w in words]
-        add(f"equiv-{k}", {"s": _words_file(rank, words), "t": _words_file(rank, other)},
-            ["equiv", "-r", str(rank), "s", "t", "--json"])
+        add(f"equiv-{k}", *_equiv_case(rank, rng, k % 3 == 2))
 
     for k in range(8):
         rank = 2 if k < 5 else 3
@@ -151,6 +158,15 @@ def cases():
         y = random_automorphism(rank, rng.randint(1, 2), rng)
         add(f"gersten-dot-{k}", {"x": _basis_file(x), "y": _basis_file(y)},
             ["gersten-dot", "-r", str(rank), "-x", "x", "-y", "y", "--json"])
+
+    # rank 4, from a stream of their own so the cases above keep their inputs
+    rng4 = random.Random(20261022)
+    for k in range(6):
+        words = _word_set(4, rng4, 3, 8)
+        add(f"minimize-r4-{k}", {"w": _words_file(4, words)},
+            ["minimize", "-r", "4", "w", "--json"])
+    for k in range(6):
+        add(f"equiv-r4-{k}", *_equiv_case(4, rng4, k % 3 == 2))
 
     # documented failure exits: nothing on stdout
     ident = _basis_file(Automorphism.identity(2))
