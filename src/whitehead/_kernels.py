@@ -117,6 +117,34 @@ def substitute_entries(entries, cyclic, table):
     return tuple(out)
 
 
+def whitehead_graph(entries, cyclic, n):
+    """Edge weights and vertex degrees of a tuple's Whitehead graph.
+
+    Vertices are the signed letters of rank n+1, at slot c+n+1 of a row
+    of 2n+3 slots; code n+1 is a letter z that closes each straight
+    entry w into the cyclic word w.z.  Each cyclically adjacent pair
+    (x, y) of an entry adds one edge {x, y^-1}.  Returns (weights,
+    degrees): weights[u * (2n+3) + v] counts the edges joining slots u
+    and v, stored both ways round, and degrees[u] is slot u's degree.
+    Entries must be reduced, cyclic ones cyclically reduced.
+    """
+    z = n + 1
+    s = 2 * z + 1
+    weights = [0] * (s * s)
+    for w, cyc in zip(entries, cyclic):
+        if not cyc:
+            w = w + (z,)
+        elif not w:
+            continue
+        p = w[-1] + z
+        for c in w:
+            q = z - c
+            weights[p * s + q] += 1
+            weights[q * s + p] += 1
+            p = c + z
+    return weights, [sum(weights[u:u + s]) for u in range(0, s * s, s)]
+
+
 def relabel(w, table):
     """Apply a signed-letter relabeling table."""
     n = len(table) // 2

@@ -208,9 +208,64 @@ def enumerate_whitehead_transforms(rank: int) -> Tuple[WhiteheadTransformDescrip
     order is part of the package contract: first-improvement descent and
     certificate serialization depend on it.
     """
-    out = []
+    return tuple([tt.descriptor for tt in transform_tables(rank)])
+
+
+class _TransformTables:
+    """One transform's substitution tables and Whitehead-graph cuts.
+
+    For the transform x -> m^l x m^-r, fwd_cut holds the flat indices,
+    into ``_kernels.whitehead_graph`` weights, of the vertex pairs that
+    cross A = {m^-1} + {x : r} + {x^-1 : l}; inv_cut holds those of its
+    inverse, whose A has m in place of m^-1; vertex is m's slot.  A
+    cut's weight less the degree at vertex is the change in total
+    length (see ``lengthfn``).
+    """
+
+    __slots__ = ("descriptor", "fwd", "inv", "fwd_cut", "inv_cut", "vertex")
+
+    def __init__(self, desc, fwd, inv, fwd_cut, inv_cut, vertex):
+        self.descriptor = desc
+        self.fwd = fwd
+        self.inv = inv
+        self.fwd_cut = fwd_cut
+        self.inv_cut = inv_cut
+        self.vertex = vertex
+
+
+@lru_cache(maxsize=None)
+def transform_tables(rank: int) -> Tuple[_TransformTables, ...]:
+    """The transforms' records in enumeration order, built in one pass.
+
+    Each transform is checked to be an automorphism by substituting its
+    forward and inverse images through each other.
+    """
     if rank < 2:
         return ()
+    z = rank + 1
+    letters = [c for c in range(-z, z + 1) if c]
+    # tables draw on a few letter images, and an inverse table or cut is
+    # another transform's forward one; build and keep one of each
+    images, tables, cuts = {}, {}, {}
+
+    def table(key):
+        t = tables.get(key)
+        if t is None:
+            t = tables[key] = tuple([
+                images.setdefault(img, img) for img in _kernels.build_subst_table(key)
+            ])
+        return t
+
+    def cut(inside):
+        key = frozenset(inside)
+        c = cuts.get(key)
+        if c is None:
+            c = cuts[key] = tuple([(u + z) * (2 * z + 1) + v + z
+                                   for u in inside for v in letters if v not in inside])
+        return c
+
+    out = []
+    seen = set()
     for m in _signed_letters(rank):
         others = [i for i in range(1, rank + 1) if i != abs(m)]
         for combo in itertools.product(_PAIR_OPTIONS, repeat=len(others)):
@@ -219,43 +274,50 @@ def enumerate_whitehead_transforms(rank: int) -> Tuple[WhiteheadTransformDescrip
             pairs = [(False, False)] * rank
             for i, pair in zip(others, combo):
                 pairs[i - 1] = pair
-            out.append(WhiteheadTransformDescriptor(rank, m, tuple(pairs)))
-    seen = set()
-    for d in out:
-        key = tuple([w.codes for w in d.images()])
-        if key in seen:
-            raise TheoremViolation("duplicate transform images in enumeration")
-        seen.add(key)
-        if not is_basis(rank, d.images()):
-            raise TheoremViolation(f"enumerated transform is not an automorphism: {d!r}")
+            fwd_images, inv_images, flags = [], [], set()
+            for i, (l, r) in enumerate(pairs, start=1):
+                fwd_images.append(((m,) if l else ()) + (i,) + ((-m,) if r else ()))
+                inv_images.append(((-m,) if l else ()) + (i,) + ((m,) if r else ()))
+                if r:
+                    flags.add(i)
+                if l:
+                    flags.add(-i)
+            desc = WhiteheadTransformDescriptor(rank, m, tuple(pairs))
+            key = tuple(fwd_images)
+            if key in seen:
+                raise TheoremViolation("duplicate transform images in enumeration")
+            seen.add(key)
+            fwd, inv = table(key), table(tuple(inv_images))
+            for i in range(1, rank + 1):
+                if (_kernels.substitute(inv[rank + i], fwd) != (i,)
+                        or _kernels.substitute(fwd[rank + i], inv) != (i,)):
+                    raise TheoremViolation(f"enumerated transform is not an automorphism: {desc!r}")
+            out.append(_TransformTables(
+                desc, fwd, inv, cut(flags | {-m}), cut(flags | {m}), m + z,
+            ))
     return tuple(out)
 
 
-class _TransformTables:
-    """Per-descriptor substitution tables, precomputed once per rank."""
+def transform_deltas(entries, cyclic, rank: int, backward: bool = False):
+    """Lazily yield (record, length change) for each transform in order.
 
-    __slots__ = ("descriptor", "fwd", "inv")
+    The change is that of the tuple under the transform, or under its
+    inverse when backward, read off the tuple's Whitehead graph, which is
+    built once; entries must be reduced, the cyclic ones cyclically.
+    """
+    weights, degrees = _kernels.whitehead_graph(entries, cyclic, rank)
+    get = weights.__getitem__
+    for tt in transform_tables(rank):
+        yield tt, sum(map(get, tt.inv_cut if backward else tt.fwd_cut)) - degrees[tt.vertex]
 
-    def __init__(self, desc: WhiteheadTransformDescriptor, fwd: tuple, inv: tuple):
-        self.descriptor = desc
-        self.fwd = fwd
-        self.inv = inv
 
-
-@lru_cache(maxsize=None)
-def transform_tables(rank: int) -> Tuple[_TransformTables, ...]:
-    # tables draw on a few letter images, and an inverse table is another
-    shared = {}  # transform's forward table; keep one of each
-
-    def table(desc):
-        images = _kernels.build_subst_table([w.codes for w in desc.images()])
-        t = tuple([shared.setdefault(img, img) for img in images])
-        return shared.setdefault(t, t)
-
-    return tuple(
-        _TransformTables(d, table(d), table(d.inverse()))
-        for d in enumerate_whitehead_transforms(rank)
-    )
+def first_shrinking(entries, cyclic, rank: int, backward: bool = False):
+    """The first transform (its inverse when backward) that strictly
+    shrinks the tuple, as (record, length change), or None."""
+    for tt, delta in transform_deltas(entries, cyclic, rank, backward):
+        if delta < 0:
+            return tt, delta
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,21 +531,21 @@ def invert_images(rank: int, images) -> Tuple[Word, ...]:
         if w.is_identity():
             raise NotABasis("an image is the identity")
 
-    tuples = [w.codes for w in imgs]
+    tuples = tuple([w.codes for w in imgs])
+    straight = (False,) * rank
     # u_fwd: forward images of the descent map U with U(images) = current tuple
     u_fwd = [(i,) for i in range(1, rank + 1)]
-    total = sum(len(t) for t in tuples)
-    tables = transform_tables(rank)
+    total = sum(map(len, tuples))
     while total > rank:
-        for tt in tables:
-            cand = [_kernels.substitute(t, tt.fwd) for t in tuples]
-            cand_total = sum(len(c) for c in cand)
-            if cand_total < total:
-                tuples, total = cand, cand_total
-                u_fwd = [_kernels.substitute(w, tt.fwd) for w in u_fwd]
-                break
-        else:
+        step = first_shrinking(tuples, straight, rank)
+        if step is None:
             raise NotABasis(f"tuple stalls at total length {total} > rank {rank}")
+        tt, delta = step
+        tuples = tuple([_kernels.substitute(t, tt.fwd) for t in tuples])
+        total += delta
+        if sum(map(len, tuples)) != total:
+            raise TheoremViolation(f"Whitehead graph mis-scored {tt.descriptor!r}")
+        u_fwd = [_kernels.substitute(w, tt.fwd) for w in u_fwd]
 
     codes = [t[0] for t in tuples]
     if sorted(abs(c) for c in codes) != list(range(1, rank + 1)):

@@ -342,6 +342,7 @@ def _subtree_candidates(x: Automorphism, size: int, counter: dict, limit: int):
                     f"distance enumeration exceeded {limit} candidate sets",
                     states=counter["states"],
                     limit=limit,
+                    phase="distance",
                 )
             yield frozenset(chosen)
             return
@@ -408,6 +409,7 @@ def distance(
         f"no translator with at most {cap} vertices",
         states=counter["states"],
         limit=limits.max_states,
+        phase="distance",
     )
 
 

@@ -9,8 +9,9 @@ keys, so identical inputs give identical bytes.
 
 Exit codes: 0 for a completed run (including a negative equivalence
 answer), 2 for malformed input (negative budgets included), 3 for a
-search that overran its budget, 4 for a violated precondition, 5 for a
-failed internal invariant (a TheoremViolation: a bug in this package).
+search that overran its budget (stderr names the phase, level_set or
+distance), 4 for a violated precondition, 5 for a failed internal
+invariant (a TheoremViolation: a bug in this package).
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} (phase: {exc.phase})", file=sys.stderr)
         return 3
     except PreconditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,13 +37,17 @@ class EdgeAbsent(PreconditionViolated):
 class LimitExceeded(WhiteheadError):
     """A search hit its state or size budget before reaching an answer.
 
-    Carries enough context to report what was exhausted.
+    Carries enough context to report what was exhausted: the states
+    counted, the limit, and the phase that ran out ("level_set" for the
+    orbit search's level-set walk, "distance" for the translator
+    enumeration).
     """
 
-    def __init__(self, message, *, states=None, limit=None):
+    def __init__(self, message, *, states=None, limit=None, phase=None):
         super().__init__(message)
         self.states = states
         self.limit = limit
+        self.phase = phase
 
 
 class TheoremViolation(WhiteheadError):

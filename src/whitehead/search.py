@@ -29,6 +29,7 @@ from .bases import (
     WhiteheadTransformDescriptor,
     compose,
     shared_permutation,
+    transform_deltas,
     transform_tables,
 )
 from .errors import LimitExceeded, TheoremViolation
@@ -156,7 +157,6 @@ def _bfs_level_set(start: WordSet, limits: SearchLimits, target=None):
     """
     rank = start.rank
     cyclic = _cyclic_flags(start)
-    tables = transform_tables(rank)
     total = sum(len(w) for w in start)
 
     root = _entries(start)
@@ -165,10 +165,13 @@ def _bfs_level_set(start: WordSet, limits: SearchLimits, target=None):
     while queue:
         next_queue = []
         for state in queue:
-            for t_idx, tt in enumerate(tables):
+            # only the level-preserving transforms are applied
+            for t_idx, (tt, delta) in enumerate(transform_deltas(state, cyclic, rank)):
+                if delta:
+                    continue
                 cand = _kernels.substitute_entries(state, cyclic, tt.fwd)
                 if sum(map(len, cand)) != total:
-                    continue
+                    raise TheoremViolation(f"Whitehead graph mis-scored {tt.descriptor!r}")
                 canon = _canonicalize(cand, cyclic, rank)
                 if canon in visited:
                     continue
@@ -177,6 +180,7 @@ def _bfs_level_set(start: WordSet, limits: SearchLimits, target=None):
                         f"level-set search exceeded {limits.max_states} states",
                         states=len(visited),
                         limit=limits.max_states,
+                        phase="level_set",
                     )
                 visited[canon] = (state, t_idx)
                 if canon == target:

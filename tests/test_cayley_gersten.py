@@ -314,6 +314,15 @@ class TestDistance:
         with pytest.raises(LimitExceeded):
             distance(X2, Y_AB, max_size=2)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"limits": SearchLimits(max_states=2)},
+        {"max_size": 2},
+    ])
+    def test_budget_overrun_names_the_distance_phase(self, kwargs):
+        with pytest.raises(LimitExceeded) as exc:
+            distance(X2, Y_AB, **kwargs)
+        assert exc.value.phase == "distance"
+
     def test_negative_size_cap_rejected(self):
         with pytest.raises(ValueError):
             distance(X2, Y_AB, max_size=-3)

@@ -25,6 +25,7 @@ def files(tmp_path):
             {"rank": 2, "words": [{"kind": "cyclic", "w": "abAB"}]},
         ),
         "sq": write(tmp_path, "sq.json", {"rank": 2, "words": ["~aabb"]}),
+        "sqb": write(tmp_path, "sqb.json", {"rank": 2, "words": ["~abaB"]}),
         "aa": write(tmp_path, "aa.json", {"rank": 2, "words": ["aa"]}),
         "xid": write(tmp_path, "xid.json", {"rank": 2, "images": ["a", "b"]}),
         "yab": write(tmp_path, "yab.json", {"rank": 2, "images": ["ab", "b"]}),
@@ -119,7 +120,18 @@ class TestDistance:
              "--max-states", "2"],
         )
         assert code == 3
-        assert "error" in err
+        assert err == (
+            "error: distance enumeration exceeded 2 candidate sets (phase: distance)\n"
+        )
+
+    def test_level_set_budget_exit(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            ["equiv", "-r", "2", files["sq"], files["sqb"], "--max-states", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: level-set search exceeded 1 states (phase: level_set)\n"
 
 
 class TestPeakReduce:

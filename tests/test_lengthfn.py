@@ -5,10 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from whitehead.bases import Automorphism, compose
-from whitehead.errors import KindMismatch, RankMismatch
+from whitehead import _kernels
+from whitehead.bases import (
+    Automorphism,
+    SignedPermutation,
+    compose,
+    invert_images,
+    transform_deltas,
+    transform_tables,
+)
+from whitehead.errors import KindMismatch, NotABasis, RankMismatch
 from whitehead.lengthfn import (
     DescentResult,
     WordSet,
@@ -155,3 +163,128 @@ class TestDescend:
         blown = WordSet(rank, tuple(phi.apply(w) for w in base))
         res = descend(blown)
         assert res.final.total <= total_length(base, Automorphism.identity(rank))
+
+
+# -- substitution oracle -----------------------------------------------------
+#
+# The library scores transforms from the Whitehead graph.  The references
+# below substitute the whole tuple under every transform instead and read
+# off the length, as the scans the graph replaced did.
+
+
+def substitution_deltas(entries, cyclic, rank, backward=False):
+    total = sum(map(len, entries))
+    for tt in transform_tables(rank):
+        moved = _kernels.substitute_entries(entries, cyclic, tt.inv if backward else tt.fwd)
+        yield tt, sum(map(len, moved)) - total
+
+
+def _coordinates(words, basis):
+    coords = [basis.apply_backward(w) for w in words]
+    return tuple([w.codes for w in coords]), tuple([isinstance(w, CyclicWord) for w in coords])
+
+
+def reference_descend(words, start=None):
+    basis = Automorphism.identity(words.rank) if start is None else start
+    initial = length_report(words, basis)
+    entries, cyclic = _coordinates(words, basis)
+    path = []
+    while True:
+        for tt, delta in substitution_deltas(entries, cyclic, words.rank, backward=True):
+            if delta < 0:
+                entries = _kernels.substitute_entries(entries, cyclic, tt.inv)
+                path.append(tt.descriptor)
+                basis = compose(basis, tt.descriptor.to_automorphism())
+                break
+        else:
+            break
+    return DescentResult(basis, tuple(path), initial, length_report(words, basis))
+
+
+def reference_is_local_minimum(words, basis):
+    entries, cyclic = _coordinates(words, basis)
+    return all(d >= 0 for _, d in substitution_deltas(entries, cyclic, words.rank, True))
+
+
+def reference_invert_images(rank, images):
+    tuples = tuple([w.codes for w in images])
+    u_fwd = [(i,) for i in range(1, rank + 1)]
+    while sum(map(len, tuples)) > rank:
+        for tt, delta in substitution_deltas(tuples, (False,) * rank, rank):
+            if delta < 0:
+                tuples = tuple([_kernels.substitute(t, tt.fwd) for t in tuples])
+                u_fwd = [_kernels.substitute(w, tt.fwd) for w in u_fwd]
+                break
+        else:
+            raise NotABasis("stalls")
+    codes = [t[0] for t in tuples]
+    if sorted(abs(c) for c in codes) != list(range(1, rank + 1)):
+        raise NotABasis("not a signed basis")
+    table = SignedPermutation(rank, tuple(codes)).inverse().table()
+    return tuple([Word(rank, _kernels.relabel(w, table)) for w in u_fwd])
+
+
+@st.composite
+def word_tuples(draw, ranks):
+    """A WordSet of straight and cyclic entries, empty and one-letter ones
+    included, as drawn letters reduced by the word constructors."""
+    rank = draw(ranks)
+    letters = st.sampled_from([c for c in range(-rank, rank + 1) if c])
+    entries = draw(st.lists(
+        st.tuples(st.booleans(), st.lists(letters, max_size=9)), min_size=1, max_size=4,
+    ))
+    return WordSet(rank, tuple([
+        (CyclicWord if cyc else Word)(rank, codes) for cyc, codes in entries
+    ]))
+
+
+class TestWhiteheadGraphDeltas:
+    @settings(deadline=None, max_examples=120)
+    @given(word_tuples(st.integers(1, 5)), st.booleans())
+    @example(WordSet.parse(3, ["", "~", "a", "~B", "~abAB", "abAB"]), False)
+    @example(WordSet.parse(3, ["", "~", "a", "~B", "~abAB", "abAB"]), True)
+    @example(WordSet.parse(5, ["~e", "E", "~abcde"]), True)
+    def test_equal_substitution_deltas(self, words, backward):
+        entries, cyclic = _coordinates(words, Automorphism.identity(words.rank))
+        graph = [(tt.descriptor, d) for tt, d in
+                 transform_deltas(entries, cyclic, words.rank, backward)]
+        assert graph == [(tt.descriptor, d) for tt, d in
+                         substitution_deltas(entries, cyclic, words.rank, backward)]
+
+    def test_rank_one_has_no_deltas(self):
+        assert list(transform_deltas(((1, 1),), (False,), 1)) == []
+
+
+class TestAgainstSubstitution:
+    @settings(deadline=None, max_examples=60)
+    @given(word_tuples(st.integers(2, 4)), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_descend(self, words, depth, rng):
+        start = random_automorphism(words.rank, depth, rng)
+        got, want = descend(words, start), reference_descend(words, start)
+        assert got.path == want.path
+        assert got.basis == want.basis
+        assert (got.initial, got.final) == (want.initial, want.final)
+        assert descend(words).path == reference_descend(words).path
+
+    @settings(deadline=None, max_examples=60)
+    @given(word_tuples(st.integers(2, 4)), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_is_local_minimum(self, words, depth, rng):
+        basis = random_automorphism(words.rank, depth, rng)
+        assert is_local_minimum(words, basis) == reference_is_local_minimum(words, basis)
+        low = descend(words, basis).basis
+        assert is_local_minimum(words, low) and reference_is_local_minimum(words, low)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 4), st.integers(0, 5), st.randoms(use_true_random=False))
+    def test_invert_images(self, rank, depth, rng):
+        aut = random_automorphism(rank, depth, rng)
+        assert invert_images(rank, aut.forward) == reference_invert_images(rank, aut.forward)
+        # a tuple that is rarely a basis: both succeed alike or both refuse
+        images = tuple([random_word(rank, rng.randint(1, 4), rng) for _ in range(rank)])
+        try:
+            want = reference_invert_images(rank, images)
+        except NotABasis:
+            with pytest.raises(NotABasis):
+                invert_images(rank, images)
+        else:
+            assert invert_images(rank, images) == want

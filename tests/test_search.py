@@ -130,6 +130,12 @@ class TestLevelSetComponent:
         with pytest.raises(LimitExceeded):
             level_set_component(ws(2, "~aabb"), SearchLimits(max_states=1))
 
+    def test_budget_overrun_names_the_level_set_phase(self):
+        with pytest.raises(LimitExceeded) as exc:
+            orbit_equivalent(ws(2, "~aabb"), ws(2, "~abaB"), SearchLimits(max_states=1))
+        assert exc.value.phase == "level_set"
+        assert (exc.value.states, exc.value.limit) == (1, 1)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             SearchLimits(max_states=-1)
