@@ -31,7 +31,6 @@ from . import _kernels
 from .bases import (
     Automorphism,
     WhiteheadTransformDescriptor,
-    compose,
     first_shrinking,
 )
 from .errors import KindMismatch, RankMismatch, TheoremViolation
@@ -170,13 +169,15 @@ def descend(words: WordSet, start: Optional[Automorphism] = None) -> DescentResu
     the first transform in enumeration order that strictly shrinks the
     tuple, until none does.  The final basis is a local minimum.  Each
     state's transforms are scored from its Whitehead graph; only the
-    chosen one is substituted.
+    chosen one is substituted, and the basis is built once, at the end.
     """
     rank = words.rank
     basis = Automorphism.identity(rank) if start is None else start
     initial = length_report(words, basis)
     entries, cyclic = _coordinates(words, basis)
     total = initial.total
+    fwd = [w.codes for w in basis.forward]
+    bwd = [w.codes for w in basis.backward]
     path = []
     while True:
         step = first_shrinking(entries, cyclic, rank, backward=True)
@@ -188,7 +189,17 @@ def descend(words: WordSet, start: Optional[Automorphism] = None) -> DescentResu
         if sum(map(len, entries)) != total:
             raise TheoremViolation(f"Whitehead graph mis-scored {tt.descriptor!r}")
         path.append(tt.descriptor)
-        basis = compose(basis, tt.descriptor.to_automorphism())
+        # the basis's images after the transform, as ``compose`` forms them
+        table = _kernels.build_subst_table(fwd)
+        fwd = [_kernels.substitute(img, table) for img in tt.fwd[rank + 1:]]
+        bwd = [_kernels.substitute(w, tt.inv) for w in bwd]
+    if path:
+        # its inverse check covers the whole path
+        basis = Automorphism(
+            rank,
+            tuple([Word._wrap(rank, w) for w in fwd]),
+            tuple([Word._wrap(rank, w) for w in bwd]),
+        )
     return DescentResult(basis, tuple(path), initial, _report(entries, rank))
 
 

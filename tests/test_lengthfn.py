@@ -20,6 +20,7 @@ from whitehead.errors import KindMismatch, NotABasis, RankMismatch
 from whitehead.lengthfn import (
     DescentResult,
     WordSet,
+    _coordinates,
     check_same_shape,
     descend,
     in_coordinates,
@@ -27,6 +28,7 @@ from whitehead.lengthfn import (
     length_report,
     total_length,
 )
+from whitehead.search import level_set_component, minimize_tuple
 from whitehead.words import CyclicWord, Word
 
 from helpers import random_automorphism, random_cyclic_word, random_word
@@ -179,11 +181,6 @@ def substitution_deltas(entries, cyclic, rank, backward=False):
         yield tt, sum(map(len, moved)) - total
 
 
-def _coordinates(words, basis):
-    coords = [basis.apply_backward(w) for w in words]
-    return tuple([w.codes for w in coords]), tuple([isinstance(w, CyclicWord) for w in coords])
-
-
 def reference_descend(words, start=None):
     basis = Automorphism.identity(words.rank) if start is None else start
     initial = length_report(words, basis)
@@ -222,6 +219,21 @@ def reference_invert_images(rank, images):
         raise NotABasis("not a signed basis")
     table = SignedPermutation(rank, tuple(codes)).inverse().table()
     return tuple([Word(rank, _kernels.relabel(w, table)) for w in u_fwd])
+
+
+def reference_level_set(words):
+    cyclic = tuple([isinstance(w, CyclicWord) for w in words])
+    start = _kernels.canonical_tuple(tuple([w.codes for w in words]), cyclic, words.rank)
+    seen, queue = {start}, [start]
+    for state in queue:
+        for tt, delta in substitution_deltas(state, cyclic, words.rank):
+            if delta == 0:
+                moved = _kernels.substitute_entries(state, cyclic, tt.fwd)
+                canon = _kernels.canonical_tuple(moved, cyclic, words.rank)
+                if canon not in seen:
+                    seen.add(canon)
+                    queue.append(canon)
+    return seen
 
 
 @st.composite
@@ -288,3 +300,10 @@ class TestAgainstSubstitution:
                 invert_images(rank, images)
         else:
             assert invert_images(rank, images) == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(word_tuples(st.integers(2, 3)))
+    def test_level_set_component(self, words):
+        minimal = minimize_tuple(words).minimal
+        got = {tuple([w.codes for w in state]) for state in level_set_component(minimal)}
+        assert got == reference_level_set(minimal)
